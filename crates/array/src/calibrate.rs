@@ -153,16 +153,10 @@ pub fn calibrate_row(
     }
 
     // SL energy per definite digit: from the k = 0 search of a RZ design the
-    // SL component divides by the number of definite digits; for gated
-    // designs, measure the energy of *changing* every SL by searching the
-    // complement pattern.
+    // SL component divides by the number of definite digits. A gated design's
+    // steady-state window sees settled SL levels, so the cost of toggling a
+    // line is the RZ-equivalent line energy.
     let e_sl_per_definite_bit = if sl_gated {
-        let complement: TernaryWord = stored.digits().iter().map(|d| d.complement()).collect();
-        let out = row.search(&complement, timing)?;
-        // Every definite digit toggled exactly once in the first cycle of
-        // this search; the steady-state window sees the settled levels, so
-        // approximate the toggle cost by the RZ-equivalent line energy.
-        let _ = out;
         estimate_line_energy(card, geometry, row.design().area_f2())
     } else {
         let out0 = row.search(&stored, timing)?;

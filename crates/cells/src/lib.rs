@@ -54,6 +54,7 @@ mod geometry;
 mod mcam;
 mod row;
 mod search;
+mod testbench;
 mod write;
 
 pub use arraytb::{ArraySearchOutcome, ArrayTestbench};

@@ -1,48 +1,17 @@
 //! The match-line row testbench: one TCAM word under test.
 
-use ftcam_circuit::analysis::{RecordMode, Transient, TransientOpts};
-use ftcam_circuit::elements::{Capacitor, Resistor};
+use ftcam_circuit::analysis::{RecordMode, TransientOpts};
 use ftcam_circuit::waveform::Waveform;
-use ftcam_circuit::{
-    Circuit, Edge, NewtonSettings, NodeId, PinId, RecoveryStats, SolverPerf, StepStats,
-};
-use ftcam_devices::{FeFet, Mosfet, MosfetParams, Polarity, TechCard};
+use ftcam_circuit::{Edge, NewtonSettings, RecoveryStats, SolverPerf, StepStats};
+use ftcam_devices::{FeFet, TechCard};
 use ftcam_workloads::{Ternary, TernaryWord};
 
-use crate::design::{CellDesign, CellHandle, CellSite, FooterStyle};
+use crate::design::CellDesign;
 use crate::error::CellError;
 use crate::geometry::Geometry;
 use crate::search::{SearchOutcome, SearchTiming, StageOutcome};
+use crate::testbench::Testbench;
 use crate::write::{WriteOutcome, WriteTiming};
-
-/// Gate boost applied to an NMOS precharge clock so a low-swing rail is
-/// passed without a threshold drop (a standard boosted-clock technique).
-const NMOS_PRECHARGE_BOOST: f64 = 0.4;
-
-/// How the match line of a segment is precharged.
-#[derive(Debug, Clone, Copy)]
-enum PrechargeKind {
-    /// PMOS device, clock active-low.
-    Pmos,
-    /// NMOS device with a boosted active-high clock (low-swing rails).
-    Nmos,
-}
-
-impl PrechargeKind {
-    fn on_level(self, vdd: f64) -> f64 {
-        match self {
-            PrechargeKind::Pmos => 0.0,
-            PrechargeKind::Nmos => vdd + NMOS_PRECHARGE_BOOST,
-        }
-    }
-
-    fn off_level(self, vdd: f64) -> f64 {
-        match self {
-            PrechargeKind::Pmos => vdd,
-            PrechargeKind::Nmos => 0.0,
-        }
-    }
-}
 
 /// Recorded match-line waveform of one stage (for the waveform figures).
 #[derive(Debug, Clone, PartialEq)]
@@ -53,6 +22,16 @@ pub struct MlTrace {
     pub times: Vec<f64>,
     /// ML voltage samples (volts).
     pub volts: Vec<f64>,
+}
+
+/// One evaluated search stage: its outcome, sense margin, energy split and
+/// match-line waveform.
+struct Stage {
+    outcome: StageOutcome,
+    margin: f64,
+    energy_ml: f64,
+    energy_sl: f64,
+    trace: MlTrace,
 }
 
 /// A transistor-level testbench for one TCAM row (word).
@@ -66,26 +45,8 @@ pub struct MlTrace {
 /// on silicon.
 #[derive(Debug)]
 pub struct RowTestbench {
-    ckt: Circuit,
-    design: Box<dyn CellDesign>,
-    card: TechCard,
-    geometry: Geometry,
-    width: usize,
-    cells: Vec<CellHandle>,
-    sl_pins: Vec<(PinId, PinId)>,
-    ml_nodes: Vec<NodeId>,
-    ml_names: Vec<String>,
-    pre_pins: Vec<PinId>,
-    precharge: PrechargeKind,
-    en_pin: Option<PinId>,
-    wen_pin: Option<PinId>,
-    segment_of_column: Vec<usize>,
-    segment_columns: Vec<Vec<usize>>,
+    tb: Testbench,
     stored: TernaryWord,
-    step_stats: StepStats,
-    recovery_stats: RecoveryStats,
-    solver_perf: SolverPerf,
-    newton: NewtonSettings,
 }
 
 impl RowTestbench {
@@ -103,226 +64,56 @@ impl RowTestbench {
         if width == 0 {
             return Err(CellError::InvalidParameter("width must be positive".into()));
         }
-        let features = design.features();
-        let segments = features.segments.clamp(1, width);
-        let v_pre = design.ml_precharge_voltage(&card);
-        let precharge = if v_pre >= 0.7 * card.vdd {
-            PrechargeKind::Pmos
-        } else {
-            PrechargeKind::Nmos
-        };
-
-        let mut ckt = Circuit::new();
-        let area_f2 = design.area_f2();
-
-        // Segment partition: balanced, first segments take the remainder.
-        let mut segment_columns: Vec<Vec<usize>> = vec![Vec::new(); segments];
-        let mut segment_of_column = vec![0usize; width];
-        {
-            let base = width / segments;
-            let rem = width % segments;
-            let mut col = 0usize;
-            for (s, columns) in segment_columns.iter_mut().enumerate() {
-                let size = base + usize::from(s < rem);
-                for _ in 0..size {
-                    segment_of_column[col] = s;
-                    columns.push(col);
-                    col += 1;
-                }
-            }
-        }
-
-        // Per-segment match line, wire cap, precharge device, write clamp.
-        let mut ml_nodes = Vec::with_capacity(segments);
-        let mut ml_names = Vec::with_capacity(segments);
-        let mut pre_pins = Vec::with_capacity(segments);
-        let wen = design.supports_transient_write().then(|| {
-            let wen_node = ckt.node("wen");
-            ckt.pin(wen_node, "WEN", Waveform::dc(0.0))
-                .expect("fresh node")
-        });
-        for (s, columns) in segment_columns.iter().enumerate() {
-            let ml_name = format!("ml{s}");
-            let ml = ckt.node(&ml_name);
-            ml_nodes.push(ml);
-            ml_names.push(ml_name);
-            ckt.add_labeled(
-                format!("c_ml_wire{s}"),
-                Capacitor::new(
-                    ml,
-                    ckt.ground(),
-                    geometry.ml_wire_cap(area_f2, columns.len()),
-                ),
-            );
-            // Precharge rail + device + clock pin.
-            let rail = ckt.node(&format!("vpre{s}"));
-            ckt.pin(rail, format!("VPRE{s}"), Waveform::dc(v_pre))
-                .map_err(CellError::from)?;
-            let clk = ckt.node(&format!("preb{s}"));
-            let pre_pin = ckt
-                .pin(
-                    clk,
-                    format!("PREB{s}"),
-                    Waveform::dc(precharge.off_level(card.vdd)),
-                )
-                .map_err(CellError::from)?;
-            pre_pins.push(pre_pin);
-            let pre_params = match precharge {
-                PrechargeKind::Pmos => card.pmos.scaled(geometry.precharge_width_mult),
-                PrechargeKind::Nmos => card.nmos.scaled(geometry.precharge_width_mult),
-            };
-            // Drain on the rail, source on the ML for the PMOS orientation;
-            // the EKV model is source/drain symmetric so the distinction
-            // only matters for readability.
-            ckt.add_labeled(format!("m_pre{s}"), Mosfet::new(pre_params, rail, clk, ml));
-            if let Some(_wen_pin) = wen {
-                let wen_node = ckt.node("wen");
-                let clamp = clamp_params(&card, &geometry);
-                ckt.add_labeled(
-                    format!("m_wclamp{s}"),
-                    Mosfet::new(clamp, ml, wen_node, ckt.ground()),
-                );
-            }
-        }
-
-        // Search-enable rail for gated-footer designs.
-        let en_pin = match features.footer {
-            FooterStyle::None => None,
-            FooterStyle::SharedPerGroup(_) => {
-                let en_node = ckt.node("en");
-                Some(
-                    ckt.pin(en_node, "EN", Waveform::dc(0.0))
-                        .map_err(CellError::from)?,
-                )
-            }
-        };
-
-        // Columns: SL driver pin → driver resistance → SL node (+ wire cap).
-        let mut sl_pins = Vec::with_capacity(width);
-        let mut sl_nodes = Vec::with_capacity(width);
-        for i in 0..width {
-            let mut make_line = |tag: &str| -> Result<(PinId, NodeId), CellError> {
-                let drv = ckt.node(&format!("{tag}drv{i}"));
-                let line = ckt.node(&format!("{tag}{i}"));
-                let pin = ckt
-                    .pin(drv, format!("{}{i}", tag.to_uppercase()), Waveform::dc(0.0))
-                    .map_err(CellError::from)?;
-                ckt.add_labeled(
-                    format!("r_{tag}{i}"),
-                    Resistor::new(drv, line, geometry.sl_driver_resistance),
-                );
-                ckt.add_labeled(
-                    format!("c_{tag}wire{i}"),
-                    Capacitor::new(line, NodeId::GROUND, geometry.sl_wire_cap_per_cell(area_f2)),
-                );
-                Ok((pin, line))
-            };
-            let (sl_pin, sl_node) = make_line("sl")?;
-            let (slb_pin, slb_node) = make_line("slb")?;
-            sl_pins.push((sl_pin, slb_pin));
-            sl_nodes.push((sl_node, slb_node));
-        }
-
-        // Footers (one per group of adjacent columns within a segment).
-        let mut source_rail_of_column = vec![NodeId::GROUND; width];
-        if let FooterStyle::SharedPerGroup(group) = features.footer {
-            let en_node = ckt.node("en");
-            for columns in &segment_columns {
-                for chunk in columns.chunks(group.max(1)) {
-                    let rail = ckt.fresh_node("footer_rail");
-                    let footer = card.nmos.scaled(geometry.footer_width_mult);
-                    ckt.add_labeled(
-                        format!("m_footer{}", chunk[0]),
-                        Mosfet::new(footer, rail, en_node, ckt.ground()),
-                    );
-                    for &col in chunk {
-                        source_rail_of_column[col] = rail;
-                    }
-                }
-            }
-        }
-
-        // Cells.
-        let mut cells = Vec::with_capacity(width);
-        for i in 0..width {
-            let site = CellSite {
-                index: i,
-                ml: ml_nodes[segment_of_column[i]],
-                sl: sl_nodes[i].0,
-                slb: sl_nodes[i].1,
-                source_rail: source_rail_of_column[i],
-            };
-            cells.push(design.build_cell(&mut ckt, &card, &geometry, &site));
-        }
-
         Ok(Self {
-            ckt,
-            design,
-            card,
-            geometry,
-            width,
-            cells,
-            sl_pins,
-            ml_nodes,
-            ml_names,
-            pre_pins,
-            precharge,
-            en_pin,
-            wen_pin: wen,
-            segment_of_column,
-            segment_columns,
+            tb: Testbench::build(design, card, geometry, 1, width)?,
             stored: TernaryWord::all_x(width),
-            step_stats: StepStats::default(),
-            recovery_stats: RecoveryStats::default(),
-            solver_perf: SolverPerf::default(),
-            newton: NewtonSettings::default(),
         })
     }
 
     /// Word width.
     pub fn width(&self) -> usize {
-        self.width
+        self.tb.width
     }
 
     /// Cumulative transient step statistics over every operation this
     /// testbench has run (searches, writes, calibration sweeps).
     pub fn step_stats(&self) -> StepStats {
-        self.step_stats
+        self.tb.step_stats
     }
 
     /// Cumulative recovery-ladder statistics over every operation this
     /// testbench has run (all-zero unless the solver needed the ladder).
     pub fn recovery_stats(&self) -> RecoveryStats {
-        self.recovery_stats
+        self.tb.recovery_stats
     }
 
     /// Cumulative solver hot-path counters (factorisations, LU bypasses,
     /// tape replays, ...) over every operation this testbench has run.
     pub fn solver_perf(&self) -> SolverPerf {
-        self.solver_perf
+        self.tb.solver_perf
     }
 
     /// The Newton solver settings applied to every transient this
     /// testbench runs.
     pub fn newton_settings(&self) -> NewtonSettings {
-        self.newton
+        self.tb.newton
     }
 
     /// Overrides the Newton solver settings (tolerances, damping, `gmin`,
     /// and — under the `fault-injection` feature — an injected fault plan)
     /// for every subsequent operation.
     pub fn set_newton_settings(&mut self, newton: NewtonSettings) {
-        self.newton = newton;
+        self.tb.newton = newton;
     }
 
     /// The design under test.
     pub fn design(&self) -> &dyn CellDesign {
-        self.design.as_ref()
+        self.tb.design.as_ref()
     }
 
     /// The technology card in use.
     pub fn card(&self) -> &TechCard {
-        &self.card
+        &self.tb.card
     }
 
     /// The currently stored word.
@@ -332,7 +123,7 @@ impl RowTestbench {
 
     /// The layout/parasitic constants in use.
     pub fn geometry(&self) -> &Geometry {
-        &self.geometry
+        &self.tb.geometry
     }
 
     /// Functional (golden-model) match result for a query.
@@ -346,7 +137,7 @@ impl RowTestbench {
 
     /// Number of free unknowns in the underlying netlist (diagnostics).
     pub fn node_count(&self) -> usize {
-        self.ckt.node_count()
+        self.tb.ckt.node_count()
     }
 
     /// Programs the stored word instantly (ideal write).
@@ -355,16 +146,13 @@ impl RowTestbench {
     ///
     /// Returns [`CellError::WidthMismatch`] for a wrong-width word.
     pub fn program_word(&mut self, word: &TernaryWord) -> Result<(), CellError> {
-        if word.width() != self.width {
+        if word.width() != self.tb.width {
             return Err(CellError::WidthMismatch {
-                expected: self.width,
+                expected: self.tb.width,
                 got: word.width(),
             });
         }
-        for (i, handle) in self.cells.iter().enumerate() {
-            self.design
-                .program_cell(&mut self.ckt, handle, &self.card, word.get(i));
-        }
+        self.tb.program_row(0, word);
         self.stored = word.clone();
         Ok(())
     }
@@ -394,19 +182,28 @@ impl RowTestbench {
         query: &TernaryWord,
         timing: &SearchTiming,
     ) -> Result<(SearchOutcome, Vec<MlTrace>), CellError> {
-        if query.width() != self.width {
+        if query.width() != self.tb.width {
             return Err(CellError::WidthMismatch {
-                expected: self.width,
+                expected: self.tb.width,
                 got: query.width(),
             });
         }
-        let features = self.design.features();
-        let vdd = self.card.vdd;
-        let threshold = self.design.sense_threshold(&self.card);
-        let t_cycle = timing.cycle();
-        let t_total = 2.0 * t_cycle;
-        let segments = self.ml_nodes.len();
+        let levels: Vec<(f64, f64)> = (0..self.tb.width)
+            .map(|i| self.tb.design.sl_levels(query.get(i), &self.tb.card))
+            .collect();
+        let rtz = self.tb.design.features().sl_return_to_zero;
+        self.search_levels(&levels, rtz, timing)
+    }
 
+    /// Searches segment by segment with the given per-column (SL, SLB)
+    /// levels, stopping at the first mismatching segment.
+    fn search_levels(
+        &mut self,
+        levels: &[(f64, f64)],
+        rtz: bool,
+        timing: &SearchTiming,
+    ) -> Result<(SearchOutcome, Vec<MlTrace>), CellError> {
+        let segments = self.tb.ml_nodes.len();
         let mut stages = Vec::with_capacity(segments);
         let mut traces = Vec::with_capacity(segments);
         let mut energy_ml = 0.0;
@@ -417,115 +214,15 @@ impl RowTestbench {
         let mut matched = true;
 
         for seg in 0..segments {
-            // --- Configure waveforms for this stage -------------------------
-            for s in 0..segments {
-                let active = s == seg;
-                let wave = if active {
-                    two_cycle_pwl(
-                        [
-                            self.precharge.on_level(vdd),
-                            self.precharge.off_level(vdd),
-                            self.precharge.on_level(vdd),
-                            self.precharge.off_level(vdd),
-                        ],
-                        timing,
-                    )
-                } else {
-                    Waveform::dc(self.precharge.off_level(vdd))
-                };
-                self.ckt.set_pin_waveform(self.pre_pins[s], wave);
-            }
-            for i in 0..self.width {
-                let (v_sl, v_slb) = self.design.sl_levels(query.get(i), &self.card);
-                let in_active_segment = self.segment_of_column[i] == seg;
-                let (sl_wave, slb_wave) = if !in_active_segment {
-                    (Waveform::dc(0.0), Waveform::dc(0.0))
-                } else if features.sl_return_to_zero {
-                    (
-                        two_cycle_pwl([0.0, v_sl, 0.0, v_sl], timing),
-                        two_cycle_pwl([0.0, v_slb, 0.0, v_slb], timing),
-                    )
-                } else {
-                    (Waveform::dc(v_sl), Waveform::dc(v_slb))
-                };
-                self.ckt.set_pin_waveform(self.sl_pins[i].0, sl_wave);
-                self.ckt.set_pin_waveform(self.sl_pins[i].1, slb_wave);
-            }
-            if let Some(en) = self.en_pin {
-                self.ckt
-                    .set_pin_waveform(en, two_cycle_pwl([0.0, vdd, 0.0, vdd], timing));
-            }
-            if let Some(wen) = self.wen_pin {
-                self.ckt.set_pin_waveform(wen, Waveform::dc(0.0));
-            }
-
-            // --- Simulate two cycles ----------------------------------------
-            let opts = TransientOpts::new(timing.dt, t_total)
-                .use_initial_conditions()
-                .with_step_control(timing.step)
-                .with_newton(self.newton)
-                .record_nodes([self.ml_nodes[seg]]);
-            let result = Transient::new(opts)
-                .run(&mut self.ckt)
-                .map_err(CellError::from)?;
-            self.step_stats += result.step_stats();
-            self.recovery_stats += result.recovery_stats();
-            self.solver_perf += result.solver_perf();
-
-            // --- Measure the steady-state (second) cycle ---------------------
-            let ml = result.trace(&self.ml_names[seg]).map_err(CellError::from)?;
-            let eval_start = t_cycle + timing.t_precharge;
-            let t_sense = eval_start + timing.sense_offset;
-            let ml_at_sense = ml.value_at(t_sense);
-            let seg_matched = ml_at_sense > threshold;
-            let stage_latency = if seg_matched {
-                timing.t_precharge + timing.sense_offset
-            } else {
-                let cross = ml
-                    .cross_after(threshold, Edge::Falling, eval_start)
-                    .unwrap_or(t_sense);
-                timing.t_precharge + (cross - eval_start).max(0.0)
-            };
-            let e_stage = result.total_supply_energy_in(t_cycle, t_total);
-            let e_ml: f64 = (0..segments)
-                .map(|s| {
-                    result
-                        .supply_energy_in(&format!("VPRE{s}"), t_cycle, t_total)
-                        .expect("pin exists")
-                })
-                .sum();
-            let e_sl: f64 = (0..self.width)
-                .map(|i| {
-                    result
-                        .supply_energy_in(&format!("SL{i}"), t_cycle, t_total)
-                        .expect("pin exists")
-                        + result
-                            .supply_energy_in(&format!("SLB{i}"), t_cycle, t_total)
-                            .expect("pin exists")
-                })
-                .sum();
-            energy_ml += e_ml;
-            energy_sl += e_sl;
-            energy_ctrl += e_stage - e_ml - e_sl;
-            latency += stage_latency;
-            let margin = if seg_matched {
-                ml_at_sense - threshold
-            } else {
-                threshold - ml_at_sense
-            };
-            sense_margin = sense_margin.min(margin);
-            stages.push(StageOutcome {
-                segment: seg,
-                matched: seg_matched,
-                ml_at_sense,
-                latency: stage_latency,
-                energy: e_stage,
-            });
-            traces.push(MlTrace {
-                segment: seg,
-                times: ml.times().to_vec(),
-                volts: ml.values().to_vec(),
-            });
+            let stage = self.search_stage(seg, levels, rtz, timing)?;
+            energy_ml += stage.energy_ml;
+            energy_sl += stage.energy_sl;
+            energy_ctrl += stage.outcome.energy - stage.energy_ml - stage.energy_sl;
+            latency += stage.outcome.latency;
+            sense_margin = sense_margin.min(stage.margin);
+            let seg_matched = stage.outcome.matched;
+            stages.push(stage.outcome);
+            traces.push(stage.trace);
             if !seg_matched {
                 matched = false;
                 break;
@@ -541,12 +238,67 @@ impl RowTestbench {
                 energy_ml,
                 energy_sl,
                 energy_ctrl,
-                sense_threshold: threshold,
+                sense_threshold: self.tb.design.sense_threshold(&self.tb.card),
                 sense_margin,
                 stages,
             },
             traces,
         ))
+    }
+
+    /// Evaluates segment `seg` over two cycles and measures the second:
+    /// the ML at the sense instant, the latency, the margin and the split
+    /// of the cycle's supply energy.
+    fn search_stage(
+        &mut self,
+        seg: usize,
+        levels: &[(f64, f64)],
+        rtz: bool,
+        timing: &SearchTiming,
+    ) -> Result<Stage, CellError> {
+        let threshold = self.tb.design.sense_threshold(&self.tb.card);
+        let t_cycle = timing.cycle();
+        let t_total = 2.0 * t_cycle;
+        let result = self.tb.run_search_cycles(seg, levels, rtz, timing)?;
+
+        let ml = result
+            .trace(&self.tb.ml_names[seg])
+            .map_err(CellError::from)?;
+        let eval_start = t_cycle + timing.t_precharge;
+        let t_sense = eval_start + timing.sense_offset;
+        let ml_at_sense = ml.value_at(t_sense);
+        let matched = ml_at_sense > threshold;
+        let latency = if matched {
+            timing.t_precharge + timing.sense_offset
+        } else {
+            let cross = ml
+                .cross_after(threshold, Edge::Falling, eval_start)
+                .unwrap_or(t_sense);
+            timing.t_precharge + (cross - eval_start).max(0.0)
+        };
+        let margin = if matched {
+            ml_at_sense - threshold
+        } else {
+            threshold - ml_at_sense
+        };
+        let (energy_ml, energy_sl) = self.tb.line_energies(&result, t_cycle, t_total);
+        Ok(Stage {
+            outcome: StageOutcome {
+                segment: seg,
+                matched,
+                ml_at_sense,
+                latency,
+                energy: result.total_supply_energy_in(t_cycle, t_total),
+            },
+            margin,
+            energy_ml,
+            energy_sl,
+            trace: MlTrace {
+                segment: seg,
+                times: ml.times().to_vec(),
+                volts: ml.values().to_vec(),
+            },
+        })
     }
 
     /// Performs a transient word write (FeFET designs only).
@@ -561,19 +313,19 @@ impl RowTestbench {
         word: &TernaryWord,
         timing: &WriteTiming,
     ) -> Result<WriteOutcome, CellError> {
-        if !self.design.supports_transient_write() {
+        if !self.tb.design.supports_transient_write() {
             return Err(CellError::UnsupportedOperation(format!(
                 "{} does not support transient writes",
-                self.design.name()
+                self.tb.design.name()
             )));
         }
-        if word.width() != self.width {
+        if word.width() != self.tb.width {
             return Err(CellError::WidthMismatch {
-                expected: self.width,
+                expected: self.tb.width,
                 got: word.width(),
             });
         }
-        let amplitude = timing.amplitude.unwrap_or(self.card.vprog);
+        let amplitude = timing.amplitude.unwrap_or(self.tb.card.vprog);
         let t0 = 1e-9;
         let t_erase_end = t0 + timing.erase_width;
         let t_prog = t_erase_end + timing.gap;
@@ -582,15 +334,21 @@ impl RowTestbench {
         let e = timing.edge;
 
         // Clamp MLs, enable footers, idle precharge.
-        if let Some(wen) = self.wen_pin {
-            self.ckt.set_pin_waveform(wen, Waveform::dc(self.card.vdd));
+        if let Some(wen) = self.tb.wen_pin {
+            self.tb
+                .ckt
+                .set_pin_waveform(wen, Waveform::dc(self.tb.card.vdd));
         }
-        if let Some(en) = self.en_pin {
-            self.ckt.set_pin_waveform(en, Waveform::dc(self.card.vdd));
+        if let Some(en) = self.tb.en_pin {
+            self.tb
+                .ckt
+                .set_pin_waveform(en, Waveform::dc(self.tb.card.vdd));
         }
-        for pin in &self.pre_pins {
-            self.ckt
-                .set_pin_waveform(*pin, Waveform::dc(self.precharge.off_level(self.card.vdd)));
+        for pin in &self.tb.pre_pins {
+            self.tb.ckt.set_pin_waveform(
+                *pin,
+                Waveform::dc(self.tb.precharge.off_level(self.tb.card.vdd)),
+            );
         }
 
         // Snapshot switching energy before the write.
@@ -598,7 +356,8 @@ impl RowTestbench {
             .fefet_devices()
             .iter()
             .map(|&d| {
-                self.ckt
+                self.tb
+                    .ckt
                     .device_ref::<FeFet>(d)
                     .expect("fefet design")
                     .switching_energy()
@@ -606,7 +365,7 @@ impl RowTestbench {
             .sum();
 
         // Drive the pulse scheme.
-        for i in 0..self.width {
+        for i in 0..self.tb.width {
             let bit = word.get(i);
             let program_sl = bit == Ternary::Zero;
             let program_slb = bit == Ternary::One;
@@ -628,31 +387,28 @@ impl RowTestbench {
                 }
                 Waveform::pwl(pts)
             };
-            self.ckt
-                .set_pin_waveform(self.sl_pins[i].0, make(program_sl));
-            self.ckt
-                .set_pin_waveform(self.sl_pins[i].1, make(program_slb));
+            self.tb
+                .ckt
+                .set_pin_waveform(self.tb.sl_pins[i].0, make(program_sl));
+            self.tb
+                .ckt
+                .set_pin_waveform(self.tb.sl_pins[i].1, make(program_slb));
         }
 
         let opts = TransientOpts::new(timing.dt, t_total)
             .use_initial_conditions()
             .with_step_control(timing.step)
-            .with_newton(self.newton)
             .with_record(RecordMode::None);
-        let result = Transient::new(opts)
-            .run(&mut self.ckt)
-            .map_err(CellError::from)?;
-        self.step_stats += result.step_stats();
-        self.recovery_stats += result.recovery_stats();
-        self.solver_perf += result.solver_perf();
+        let result = self.tb.run(opts)?;
 
         // Collect outcomes.
-        let mut polarizations = Vec::with_capacity(2 * self.width);
+        let mut polarizations = Vec::with_capacity(2 * self.tb.width);
         let mut programmed_ok = true;
-        for (i, handle) in self.cells.iter().enumerate() {
+        for (i, handle) in self.tb.cells.iter().enumerate() {
             let (want1, want2) = crate::designs::FeFet2T::polarizations(word.get(i));
             for (slot, want) in [(0usize, want1), (1, want2)] {
                 let p = self
+                    .tb
                     .ckt
                     .device_ref::<FeFet>(handle.devices[slot])
                     .expect("fefet design")
@@ -667,7 +423,8 @@ impl RowTestbench {
             .fefet_devices()
             .iter()
             .map(|&d| {
-                self.ckt
+                self.tb
+                    .ckt
                     .device_ref::<FeFet>(d)
                     .expect("fefet design")
                     .switching_energy()
@@ -694,7 +451,7 @@ impl RowTestbench {
         let devices = self.fefet_devices();
         for (j, &dev) in devices.iter().enumerate() {
             let delta = deltas.get(j).copied().unwrap_or(0.0);
-            if let Some(fefet) = self.ckt.device_mut::<FeFet>(dev) {
+            if let Some(fefet) = self.tb.ckt.device_mut::<FeFet>(dev) {
                 // ΔV_th = −Δp·MW/2 → Δp = −2·ΔV_th/MW.
                 let mw = fefet.params().memory_window;
                 let p = fefet.polarization();
@@ -707,10 +464,11 @@ impl RowTestbench {
     /// Device ids of all FeFETs in cell order (2 per cell), empty for
     /// non-FeFET designs.
     pub fn fefet_devices(&self) -> Vec<ftcam_circuit::DeviceId> {
-        if !self.design.supports_transient_write() {
+        if !self.tb.design.supports_transient_write() {
             return Vec::new();
         }
-        self.cells
+        self.tb
+            .cells
             .iter()
             .flat_map(|h| h.devices.iter().copied())
             .collect()
@@ -718,7 +476,7 @@ impl RowTestbench {
 
     /// The columns of each match-line segment.
     pub fn segment_columns(&self) -> &[Vec<usize>] {
-        &self.segment_columns
+        &self.tb.segment_columns
     }
 
     /// Sets every FeFET's polarization directly, in cell order (two values
@@ -740,7 +498,7 @@ impl RowTestbench {
         if devices.is_empty() {
             return Err(CellError::UnsupportedOperation(format!(
                 "{} has no FeFETs to program",
-                self.design.name()
+                self.tb.design.name()
             )));
         }
         if polarizations.len() != devices.len() {
@@ -750,7 +508,8 @@ impl RowTestbench {
             });
         }
         for (&dev, &p) in devices.iter().zip(polarizations) {
-            self.ckt
+            self.tb
+                .ckt
                 .device_mut::<FeFet>(dev)
                 .expect("fefet design")
                 .set_polarization(p);
@@ -762,8 +521,8 @@ impl RowTestbench {
     /// encodings: column `i`'s SL is driven to `v_sl[i]` volts and its SLB
     /// to `v_slb[i]` volts during the evaluate phase (return-to-zero).
     ///
-    /// Used by the multi-level CAM extension; the match decision is the
-    /// same NOR-ML threshold test as the digital search.
+    /// Used by the multi-level CAM extension; the search cycle and the
+    /// match decision are those of [`RowTestbench::search`].
     ///
     /// # Errors
     ///
@@ -775,167 +534,34 @@ impl RowTestbench {
         v_slb: &[f64],
         timing: &SearchTiming,
     ) -> Result<SearchOutcome, CellError> {
-        if v_sl.len() != self.width || v_slb.len() != self.width {
+        if v_sl.len() != self.tb.width || v_slb.len() != self.tb.width {
             return Err(CellError::WidthMismatch {
-                expected: self.width,
+                expected: self.tb.width,
                 got: v_sl.len().min(v_slb.len()),
             });
         }
-        let vdd = self.card.vdd;
-        let threshold = self.design.sense_threshold(&self.card);
-        let t_cycle = timing.cycle();
-        let t_total = 2.0 * t_cycle;
-        // Flat evaluation only (analog CAM rows are not segmented).
-        let seg = 0usize;
-        for (s, pin) in self.pre_pins.iter().enumerate() {
-            let wave = if s == seg {
-                two_cycle_pwl(
-                    [
-                        self.precharge.on_level(vdd),
-                        self.precharge.off_level(vdd),
-                        self.precharge.on_level(vdd),
-                        self.precharge.off_level(vdd),
-                    ],
-                    timing,
-                )
-            } else {
-                Waveform::dc(self.precharge.off_level(vdd))
-            };
-            self.ckt.set_pin_waveform(*pin, wave);
-        }
-        for i in 0..self.width {
-            self.ckt.set_pin_waveform(
-                self.sl_pins[i].0,
-                two_cycle_pwl([0.0, v_sl[i], 0.0, v_sl[i]], timing),
-            );
-            self.ckt.set_pin_waveform(
-                self.sl_pins[i].1,
-                two_cycle_pwl([0.0, v_slb[i], 0.0, v_slb[i]], timing),
-            );
-        }
-        if let Some(en) = self.en_pin {
-            self.ckt
-                .set_pin_waveform(en, two_cycle_pwl([0.0, vdd, 0.0, vdd], timing));
-        }
-        if let Some(wen) = self.wen_pin {
-            self.ckt.set_pin_waveform(wen, Waveform::dc(0.0));
-        }
-        let opts = TransientOpts::new(timing.dt, t_total)
-            .use_initial_conditions()
-            .with_step_control(timing.step)
-            .with_newton(self.newton)
-            .record_nodes([self.ml_nodes[seg]]);
-        let result = Transient::new(opts)
-            .run(&mut self.ckt)
-            .map_err(CellError::from)?;
-        self.step_stats += result.step_stats();
-        self.recovery_stats += result.recovery_stats();
-        self.solver_perf += result.solver_perf();
-        let ml = result.trace(&self.ml_names[seg]).map_err(CellError::from)?;
-        let eval_start = t_cycle + timing.t_precharge;
-        let t_sense = eval_start + timing.sense_offset;
-        let ml_at_sense = ml.value_at(t_sense);
-        let matched = ml_at_sense > threshold;
-        let latency = if matched {
-            timing.t_precharge + timing.sense_offset
-        } else {
-            let cross = ml
-                .cross_after(threshold, Edge::Falling, eval_start)
-                .unwrap_or(t_sense);
-            timing.t_precharge + (cross - eval_start).max(0.0)
-        };
-        let energy_total = result.total_supply_energy_in(t_cycle, t_total);
-        let energy_ml: f64 = (0..self.ml_nodes.len())
-            .map(|s| {
-                result
-                    .supply_energy_in(&format!("VPRE{s}"), t_cycle, t_total)
-                    .expect("pin exists")
-            })
-            .sum();
-        let energy_sl: f64 = (0..self.width)
-            .map(|i| {
-                result
-                    .supply_energy_in(&format!("SL{i}"), t_cycle, t_total)
-                    .expect("pin exists")
-                    + result
-                        .supply_energy_in(&format!("SLB{i}"), t_cycle, t_total)
-                        .expect("pin exists")
-            })
-            .sum();
-        let margin = if matched {
-            ml_at_sense - threshold
-        } else {
-            threshold - ml_at_sense
-        };
-        Ok(SearchOutcome {
-            matched,
-            latency,
-            energy_total,
-            energy_ctrl: energy_total - energy_ml - energy_sl,
-            energy_ml,
-            energy_sl,
-            sense_threshold: threshold,
-            sense_margin: margin,
-            stages: vec![StageOutcome {
-                segment: 0,
-                matched,
-                ml_at_sense,
-                latency,
-                energy: energy_total,
-            }],
-        })
+        let levels: Vec<(f64, f64)> = v_sl.iter().copied().zip(v_slb.iter().copied()).collect();
+        self.search_levels(&levels, true, timing).map(|(o, _)| o)
     }
 
     /// Exports the full testbench netlist as a SPICE deck (for inspection
     /// or cross-checking in an external simulator).
     pub fn to_spice(&self) -> String {
         ftcam_circuit::export_spice(
-            &self.ckt,
-            &format!("{} TCAM row, {} cells", self.design.name(), self.width),
+            &self.tb.ckt,
+            &format!(
+                "{} TCAM row, {} cells",
+                self.tb.design.name(),
+                self.tb.width
+            ),
         )
     }
-}
-
-fn clamp_params(card: &TechCard, geometry: &Geometry) -> MosfetParams {
-    let mut p = card.nmos.scaled(geometry.footer_width_mult);
-    debug_assert_eq!(p.polarity, Polarity::Nmos);
-    // Slightly longer channel keeps clamp leakage negligible during search.
-    p.length *= 1.2;
-    p
-}
-
-/// Builds a two-cycle piecewise-linear waveform over the four phases
-/// `[precharge₁, evaluate₁, precharge₂, evaluate₂]`.
-pub(crate) fn two_cycle_pwl(levels: [f64; 4], timing: &SearchTiming) -> Waveform {
-    let tp = timing.t_precharge;
-    let tc = timing.cycle();
-    let e = timing.edge;
-    let boundaries = [0.0, tp, tc, tc + tp];
-    let mut pts = Vec::with_capacity(9);
-    pts.push((0.0, levels[0]));
-    for k in 1..4 {
-        pts.push((boundaries[k], levels[k - 1]));
-        pts.push((boundaries[k] + e, levels[k]));
-    }
-    pts.push((2.0 * tc, levels[3]));
-    Waveform::pwl(pts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::design::DesignKind;
-
-    #[test]
-    fn two_cycle_pwl_levels() {
-        let t = SearchTiming::default();
-        let w = two_cycle_pwl([0.0, 1.0, 0.0, 1.0], &t);
-        assert_eq!(w.value(0.0), 0.0);
-        assert_eq!(w.value(t.t_precharge + 0.2e-9), 1.0);
-        assert_eq!(w.value(t.cycle() + 0.2e-9), 0.0);
-        assert_eq!(w.value(t.cycle() + t.t_precharge + 0.2e-9), 1.0);
-        assert_eq!(w.value(2.0 * t.cycle()), 1.0);
-    }
 
     #[test]
     fn zero_width_is_rejected() {

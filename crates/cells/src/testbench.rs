@@ -1,0 +1,403 @@
+//! The netlist and solver state shared by the row and array testbenches.
+//!
+//! A row is the `rows = 1` case of an array: both are built here by one
+//! builder, run their transients through one helper that accumulates the
+//! solver statistics, and drive their search cycles through one routine.
+
+use ftcam_circuit::analysis::{Transient, TransientOpts};
+use ftcam_circuit::elements::{Capacitor, Resistor};
+use ftcam_circuit::waveform::Waveform;
+use ftcam_circuit::{
+    Circuit, NewtonSettings, NodeId, PinId, RecoveryStats, SolverPerf, StepStats, TransientResult,
+};
+use ftcam_devices::{Mosfet, MosfetParams, Polarity, TechCard};
+use ftcam_workloads::TernaryWord;
+
+use crate::design::{CellDesign, CellHandle, CellSite, FooterStyle};
+use crate::error::CellError;
+use crate::geometry::Geometry;
+use crate::search::SearchTiming;
+
+/// Gate boost applied to an NMOS precharge clock so a low-swing rail is
+/// passed without a threshold drop (a standard boosted-clock technique).
+const NMOS_PRECHARGE_BOOST: f64 = 0.4;
+
+/// How a match line is precharged.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PrechargeKind {
+    /// PMOS device, clock active-low.
+    Pmos,
+    /// NMOS device with a boosted active-high clock (low-swing rails).
+    Nmos,
+}
+
+impl PrechargeKind {
+    fn on_level(self, vdd: f64) -> f64 {
+        match self {
+            PrechargeKind::Pmos => 0.0,
+            PrechargeKind::Nmos => vdd + NMOS_PRECHARGE_BOOST,
+        }
+    }
+
+    pub(crate) fn off_level(self, vdd: f64) -> f64 {
+        match self {
+            PrechargeKind::Pmos => vdd,
+            PrechargeKind::Nmos => 0.0,
+        }
+    }
+}
+
+/// A transistor-level `rows × width` TCAM netlist with its solver state.
+///
+/// Every row has `segments` match lines; match line `m` belongs to row
+/// `m / segments` and segment `m % segments`. Cell sites are numbered
+/// row-major, `r · width + column`. The search lines are shared by every
+/// row.
+#[derive(Debug)]
+pub(crate) struct Testbench {
+    pub ckt: Circuit,
+    pub design: Box<dyn CellDesign>,
+    pub card: TechCard,
+    pub geometry: Geometry,
+    pub width: usize,
+    /// Cell handles in site order.
+    pub cells: Vec<CellHandle>,
+    pub sl_pins: Vec<(PinId, PinId)>,
+    pub ml_nodes: Vec<NodeId>,
+    pub ml_names: Vec<String>,
+    pub pre_pins: Vec<PinId>,
+    pub precharge: PrechargeKind,
+    pub en_pin: Option<PinId>,
+    pub wen_pin: Option<PinId>,
+    pub segment_of_column: Vec<usize>,
+    pub segment_columns: Vec<Vec<usize>>,
+    pub step_stats: StepStats,
+    pub recovery_stats: RecoveryStats,
+    pub solver_perf: SolverPerf,
+    pub newton: NewtonSettings,
+}
+
+impl Testbench {
+    /// Builds the netlist for `rows × width` cells of the given design,
+    /// each row split into the design's match-line segments.
+    ///
+    /// Creation order: write-enable pin, match lines (wire cap, precharge
+    /// rail, clock, device, write clamp), search-enable pin, search lines,
+    /// footers, cells.
+    pub fn build(
+        design: Box<dyn CellDesign>,
+        card: TechCard,
+        geometry: Geometry,
+        rows: usize,
+        width: usize,
+    ) -> Result<Self, CellError> {
+        let features = design.features();
+        let segments = features.segments.clamp(1, width);
+        let v_pre = design.ml_precharge_voltage(&card);
+        let precharge = if v_pre >= 0.7 * card.vdd {
+            PrechargeKind::Pmos
+        } else {
+            PrechargeKind::Nmos
+        };
+
+        let mut ckt = Circuit::new();
+        let area_f2 = design.area_f2();
+
+        // Segment partition: balanced, first segments take the remainder.
+        let mut segment_columns: Vec<Vec<usize>> = vec![Vec::new(); segments];
+        let mut segment_of_column = vec![0usize; width];
+        {
+            let base = width / segments;
+            let rem = width % segments;
+            let mut col = 0usize;
+            for (s, columns) in segment_columns.iter_mut().enumerate() {
+                let size = base + usize::from(s < rem);
+                for _ in 0..size {
+                    segment_of_column[col] = s;
+                    columns.push(col);
+                    col += 1;
+                }
+            }
+        }
+
+        // Per match line: wire cap, precharge device, write clamp.
+        let n_ml = rows * segments;
+        let mut ml_nodes = Vec::with_capacity(n_ml);
+        let mut ml_names = Vec::with_capacity(n_ml);
+        let mut pre_pins = Vec::with_capacity(n_ml);
+        let wen = design.supports_transient_write().then(|| {
+            let wen_node = ckt.node("wen");
+            ckt.pin(wen_node, "WEN", Waveform::dc(0.0))
+                .expect("fresh node")
+        });
+        for m in 0..n_ml {
+            let ml_name = format!("ml{m}");
+            let ml = ckt.node(&ml_name);
+            ml_nodes.push(ml);
+            ml_names.push(ml_name);
+            ckt.add_labeled(
+                format!("c_ml_wire{m}"),
+                Capacitor::new(
+                    ml,
+                    ckt.ground(),
+                    geometry.ml_wire_cap(area_f2, segment_columns[m % segments].len()),
+                ),
+            );
+            // Precharge rail + device + clock pin.
+            let rail = ckt.node(&format!("vpre{m}"));
+            ckt.pin(rail, format!("VPRE{m}"), Waveform::dc(v_pre))
+                .map_err(CellError::from)?;
+            let clk = ckt.node(&format!("preb{m}"));
+            let pre_pin = ckt
+                .pin(
+                    clk,
+                    format!("PREB{m}"),
+                    Waveform::dc(precharge.off_level(card.vdd)),
+                )
+                .map_err(CellError::from)?;
+            pre_pins.push(pre_pin);
+            let pre_params = match precharge {
+                PrechargeKind::Pmos => card.pmos.scaled(geometry.precharge_width_mult),
+                PrechargeKind::Nmos => card.nmos.scaled(geometry.precharge_width_mult),
+            };
+            // Drain on the rail, source on the ML for the PMOS orientation;
+            // the EKV model is source/drain symmetric so the distinction
+            // only matters for readability.
+            ckt.add_labeled(format!("m_pre{m}"), Mosfet::new(pre_params, rail, clk, ml));
+            if wen.is_some() {
+                let wen_node = ckt.node("wen");
+                let clamp = clamp_params(&card, &geometry);
+                ckt.add_labeled(
+                    format!("m_wclamp{m}"),
+                    Mosfet::new(clamp, ml, wen_node, ckt.ground()),
+                );
+            }
+        }
+
+        // Search-enable rail for gated-footer designs.
+        let en_pin = match features.footer {
+            FooterStyle::None => None,
+            FooterStyle::SharedPerGroup(_) => {
+                let en_node = ckt.node("en");
+                Some(
+                    ckt.pin(en_node, "EN", Waveform::dc(0.0))
+                        .map_err(CellError::from)?,
+                )
+            }
+        };
+
+        // Columns: SL driver pin → driver resistance → SL node. The wire
+        // crosses every row, each contributing its share of capacitance.
+        let sl_wire_cap = geometry.sl_wire_cap_per_cell(area_f2) * rows as f64;
+        let mut sl_pins = Vec::with_capacity(width);
+        let mut sl_nodes = Vec::with_capacity(width);
+        for i in 0..width {
+            let mut make_line = |tag: &str| -> Result<(PinId, NodeId), CellError> {
+                let drv = ckt.node(&format!("{tag}drv{i}"));
+                let line = ckt.node(&format!("{tag}{i}"));
+                let pin = ckt
+                    .pin(drv, format!("{}{i}", tag.to_uppercase()), Waveform::dc(0.0))
+                    .map_err(CellError::from)?;
+                ckt.add_labeled(
+                    format!("r_{tag}{i}"),
+                    Resistor::new(drv, line, geometry.sl_driver_resistance),
+                );
+                ckt.add_labeled(
+                    format!("c_{tag}wire{i}"),
+                    Capacitor::new(line, NodeId::GROUND, sl_wire_cap),
+                );
+                Ok((pin, line))
+            };
+            let (sl_pin, sl_node) = make_line("sl")?;
+            let (slb_pin, slb_node) = make_line("slb")?;
+            sl_pins.push((sl_pin, slb_pin));
+            sl_nodes.push((sl_node, slb_node));
+        }
+
+        // Footers (one per group of adjacent columns within a segment),
+        // labelled by the site of the group's first cell.
+        let mut source_rail_of_site = vec![NodeId::GROUND; rows * width];
+        if let FooterStyle::SharedPerGroup(group) = features.footer {
+            let en_node = ckt.node("en");
+            for r in 0..rows {
+                for columns in &segment_columns {
+                    for chunk in columns.chunks(group.max(1)) {
+                        let rail = ckt.fresh_node("footer_rail");
+                        let footer = card.nmos.scaled(geometry.footer_width_mult);
+                        ckt.add_labeled(
+                            format!("m_footer{}", r * width + chunk[0]),
+                            Mosfet::new(footer, rail, en_node, ckt.ground()),
+                        );
+                        for &col in chunk {
+                            source_rail_of_site[r * width + col] = rail;
+                        }
+                    }
+                }
+            }
+        }
+
+        // Cells.
+        let mut cells = Vec::with_capacity(rows * width);
+        for (index, &source_rail) in source_rail_of_site.iter().enumerate() {
+            let (r, i) = (index / width, index % width);
+            let site = CellSite {
+                index,
+                ml: ml_nodes[r * segments + segment_of_column[i]],
+                sl: sl_nodes[i].0,
+                slb: sl_nodes[i].1,
+                source_rail,
+            };
+            cells.push(design.build_cell(&mut ckt, &card, &geometry, &site));
+        }
+
+        Ok(Self {
+            ckt,
+            design,
+            card,
+            geometry,
+            width,
+            cells,
+            sl_pins,
+            ml_nodes,
+            ml_names,
+            pre_pins,
+            precharge,
+            en_pin,
+            wen_pin: wen,
+            segment_of_column,
+            segment_columns,
+            step_stats: StepStats::default(),
+            recovery_stats: RecoveryStats::default(),
+            solver_perf: SolverPerf::default(),
+            newton: NewtonSettings::default(),
+        })
+    }
+
+    /// Programs row `r` to `word` (ideal write).
+    pub fn program_row(&mut self, r: usize, word: &TernaryWord) {
+        let cells = &self.cells[r * self.width..(r + 1) * self.width];
+        for (i, handle) in cells.iter().enumerate() {
+            self.design
+                .program_cell(&mut self.ckt, handle, &self.card, word.get(i));
+        }
+    }
+
+    /// Runs a transient with this testbench's Newton settings and adds its
+    /// solver statistics to the running totals.
+    pub fn run(&mut self, opts: TransientOpts) -> Result<TransientResult, CellError> {
+        let result = Transient::new(opts.with_newton(self.newton))
+            .run(&mut self.ckt)
+            .map_err(CellError::from)?;
+        self.step_stats += result.step_stats();
+        self.recovery_stats += result.recovery_stats();
+        self.solver_perf += result.solver_perf();
+        Ok(result)
+    }
+
+    /// Simulates two search cycles evaluating segment `seg` of every row.
+    ///
+    /// Column `i` of the segment is driven to `levels[i]` = (SL, SLB)
+    /// volts, returning to zero during precharge when `rtz` is set; the
+    /// other columns and the other segments' precharge clocks stay idle.
+    /// The evaluated match lines are recorded.
+    pub fn run_search_cycles(
+        &mut self,
+        seg: usize,
+        levels: &[(f64, f64)],
+        rtz: bool,
+        timing: &SearchTiming,
+    ) -> Result<TransientResult, CellError> {
+        let vdd = self.card.vdd;
+        let segments = self.segment_columns.len();
+        let (on, off) = (self.precharge.on_level(vdd), self.precharge.off_level(vdd));
+        for (m, &pin) in self.pre_pins.iter().enumerate() {
+            let wave = if m % segments == seg {
+                two_cycle_pwl([on, off, on, off], timing)
+            } else {
+                Waveform::dc(off)
+            };
+            self.ckt.set_pin_waveform(pin, wave);
+        }
+        for (i, &(v_sl, v_slb)) in levels.iter().enumerate() {
+            let (sl_wave, slb_wave) = if self.segment_of_column[i] != seg {
+                (Waveform::dc(0.0), Waveform::dc(0.0))
+            } else if rtz {
+                (
+                    two_cycle_pwl([0.0, v_sl, 0.0, v_sl], timing),
+                    two_cycle_pwl([0.0, v_slb, 0.0, v_slb], timing),
+                )
+            } else {
+                (Waveform::dc(v_sl), Waveform::dc(v_slb))
+            };
+            self.ckt.set_pin_waveform(self.sl_pins[i].0, sl_wave);
+            self.ckt.set_pin_waveform(self.sl_pins[i].1, slb_wave);
+        }
+        if let Some(en) = self.en_pin {
+            self.ckt
+                .set_pin_waveform(en, two_cycle_pwl([0.0, vdd, 0.0, vdd], timing));
+        }
+        if let Some(wen) = self.wen_pin {
+            self.ckt.set_pin_waveform(wen, Waveform::dc(0.0));
+        }
+        let evaluated = self.ml_nodes[seg..].iter().step_by(segments).copied();
+        let opts = TransientOpts::new(timing.dt, 2.0 * timing.cycle())
+            .use_initial_conditions()
+            .with_step_control(timing.step)
+            .record_nodes(evaluated);
+        self.run(opts)
+    }
+
+    /// Energy drawn over `[t0, t1]` by the precharge rails of every match
+    /// line and by the SL and SLB drivers of every column, as `(ml, sl)`.
+    pub fn line_energies(&self, result: &TransientResult, t0: f64, t1: f64) -> (f64, f64) {
+        let energy = |label: String| result.supply_energy_in(&label, t0, t1).expect("pin exists");
+        let e_ml = (0..self.ml_nodes.len())
+            .map(|m| energy(format!("VPRE{m}")))
+            .sum();
+        let e_sl = (0..self.width)
+            .map(|i| energy(format!("SL{i}")) + energy(format!("SLB{i}")))
+            .sum();
+        (e_ml, e_sl)
+    }
+}
+
+fn clamp_params(card: &TechCard, geometry: &Geometry) -> MosfetParams {
+    let mut p = card.nmos.scaled(geometry.footer_width_mult);
+    debug_assert_eq!(p.polarity, Polarity::Nmos);
+    // Slightly longer channel keeps clamp leakage negligible during search.
+    p.length *= 1.2;
+    p
+}
+
+/// Builds a two-cycle piecewise-linear waveform over the four phases
+/// `[precharge₁, evaluate₁, precharge₂, evaluate₂]`.
+fn two_cycle_pwl(levels: [f64; 4], timing: &SearchTiming) -> Waveform {
+    let tp = timing.t_precharge;
+    let tc = timing.cycle();
+    let e = timing.edge;
+    let boundaries = [0.0, tp, tc, tc + tp];
+    let mut pts = Vec::with_capacity(9);
+    pts.push((0.0, levels[0]));
+    for k in 1..4 {
+        pts.push((boundaries[k], levels[k - 1]));
+        pts.push((boundaries[k] + e, levels[k]));
+    }
+    pts.push((2.0 * tc, levels[3]));
+    Waveform::pwl(pts)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn two_cycle_pwl_levels() {
+        let t = SearchTiming::default();
+        let w = two_cycle_pwl([0.0, 1.0, 0.0, 1.0], &t);
+        assert_eq!(w.value(0.0), 0.0);
+        assert_eq!(w.value(t.t_precharge + 0.2e-9), 1.0);
+        assert_eq!(w.value(t.cycle() + 0.2e-9), 0.0);
+        assert_eq!(w.value(t.cycle() + t.t_precharge + 0.2e-9), 1.0);
+        assert_eq!(w.value(2.0 * t.cycle()), 1.0);
+    }
+}

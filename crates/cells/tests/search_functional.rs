@@ -232,3 +232,47 @@ fn mismatch_count_speeds_discharge() {
         "8-bit mismatch ({t8:.3e}) should be faster than 1-bit ({t1:.3e})"
     );
 }
+
+/// Digital and analog search share one search cycle: driving a flat
+/// return-to-zero row with the design's own ternary SL levels through
+/// `search_analog` reproduces `search` exactly (the total energy may
+/// differ only in the last bits of its summation).
+#[test]
+fn analog_search_with_ternary_levels_matches_digital_search() {
+    let stored: TernaryWord = "10X1011X".parse().unwrap();
+    let timing = SearchTiming::fast();
+    let card = TechCard::hp45();
+    assert!(
+        DesignKind::FeFet2T
+            .instantiate()
+            .features()
+            .sl_return_to_zero
+    );
+    for query in ["10110110", "00110110"] {
+        let query: TernaryWord = query.parse().unwrap();
+        // Separate rows so both searches start from the same device state.
+        let mut digital_row = row(DesignKind::FeFet2T, 8);
+        let mut analog_row = row(DesignKind::FeFet2T, 8);
+        digital_row.program_word(&stored).unwrap();
+        analog_row.program_word(&stored).unwrap();
+        let (v_sl, v_slb): (Vec<f64>, Vec<f64>) = query
+            .iter()
+            .map(|&d| analog_row.design().sl_levels(d, &card))
+            .unzip();
+        let digital = digital_row.search(&query, &timing).unwrap();
+        let analog = analog_row.search_analog(&v_sl, &v_slb, &timing).unwrap();
+        assert_eq!(digital.matched, digital_row.golden_matches(&query));
+        assert_eq!(analog.matched, digital.matched, "query {query}");
+        assert_eq!(analog.latency, digital.latency, "query {query}");
+        assert_eq!(analog.energy_ml, digital.energy_ml, "query {query}");
+        assert_eq!(analog.energy_sl, digital.energy_sl, "query {query}");
+        assert_eq!(analog.energy_ctrl, digital.energy_ctrl, "query {query}");
+        let ulps = 4.0 * f64::EPSILON * digital.energy_total.abs();
+        assert!(
+            (analog.energy_total - digital.energy_total).abs() <= ulps,
+            "query {query}: total {:e} vs {:e}",
+            analog.energy_total,
+            digital.energy_total
+        );
+    }
+}

@@ -1,21 +1,27 @@
 //! Shared Newton–Raphson kernel used by the DC and transient analyses.
 //!
-//! The kernel has two assembly strategies, selected by [`HotPath`]:
+//! There is one iteration loop. Devices are partitioned by
+//! [`crate::StampClass`] into a *static* set (matrix stamp fixed within
+//! one time point) and a *dynamic* set (restamped every iteration). The
+//! static set plus the `gmin` shunts are stamped once per call into a
+//! baseline snapshot; each iteration restores the snapshot and restamps
+//! only the dynamic set, then factors (or reuses factors) and solves.
 //!
-//! * **Legacy** — every Newton iteration clears the system and restamps
-//!   every device, then factors and solves. Simple, and the reference
-//!   behaviour the hot path is validated against.
-//! * **Incremental** (default) — devices are partitioned by
-//!   [`crate::StampClass`] into a *static* set (matrix stamp fixed within
-//!   one time point) and a *dynamic* set (restamped every iteration). The
-//!   static set plus the `gmin` shunts are stamped once per call into a
-//!   baseline snapshot; each iteration restores the snapshot and restamps
-//!   only the dynamic set. Both passes run through slot-resolved stamp
-//!   tapes ([`crate::linalg::StampTape`]) so steady-state assembly is
-//!   straight array writes with no hash lookups, and the LU factorisation
-//!   is reused across iterations (and across calls) where it is safe:
-//!   exactly for all-linear circuits, and as guarded chord-Newton steps
-//!   for nonlinear ones.
+//! Three layers make the loop cheap, and [`HotPath`] switches each off
+//! independently of the others:
+//!
+//! * `incremental` — the static/dynamic partition. Off, every device is
+//!   dynamic and the baseline holds only the `gmin` shunts.
+//! * `tape` — both stamping passes run through slot-resolved stamp tapes
+//!   ([`crate::linalg::StampTape`]), so steady-state assembly is straight
+//!   array writes with no hash lookups.
+//! * `lu_reuse` — the LU factorisation is reused across iterations and
+//!   calls where it is safe: exactly for all-linear circuits, and as
+//!   guarded chord-Newton steps for nonlinear transients.
+//!
+//! [`HotPath::legacy`] turns all three off: a full restamp and a fresh
+//! factorisation on every iteration, the reference the layers are tested
+//! against.
 
 use crate::circuit::{Circuit, StampPartition};
 use crate::error::CircuitError;
@@ -29,11 +35,10 @@ use crate::stamp::{IntegrationMethod, StampCtx, StampMode, VarMap};
 /// worst case.
 const CHORD_MAX_AGE: u64 = 10;
 
-/// Toggles for the incremental-assembly Newton hot path.
+/// Toggles for the layers of the Newton loop.
 ///
-/// All three optimisations are on by default; [`HotPath::legacy`] restores
-/// the reference full-restamp/full-factor behaviour. The flags are layered:
-/// `tape` and `lu_reuse` only take effect when `incremental` is on.
+/// All three layers are on by default; each flag switches one off without
+/// affecting the others. [`HotPath::legacy`] switches all three off.
 ///
 /// # Examples
 ///
@@ -72,13 +77,8 @@ impl Default for HotPath {
 }
 
 impl HotPath {
-    /// All optimisations enabled (same as `Default::default()`).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Reference behaviour: full restamp and full factorisation on every
-    /// Newton iteration.
+    /// Reference behaviour: every layer off, so each Newton iteration
+    /// restamps every device and computes a fresh factorisation.
     pub fn legacy() -> Self {
         Self {
             incremental: false,
@@ -122,7 +122,7 @@ pub struct NewtonSettings {
     pub max_voltage_step: f64,
     /// Shunt conductance from every free node to ground.
     pub gmin: f64,
-    /// Assembly/solve hot-path toggles; see [`HotPath`].
+    /// Newton-loop layer toggles; see [`HotPath`].
     pub hot_path: HotPath,
     /// Deterministic fault to inject into every solve (chaos tests only;
     /// see [`crate::fault`]).
@@ -176,7 +176,7 @@ impl NewtonSettings {
         self
     }
 
-    /// Selects the assembly/solve hot-path strategy; see [`HotPath`].
+    /// Selects which Newton-loop layers are on; see [`HotPath`].
     #[must_use]
     pub fn with_hot_path(mut self, hot_path: HotPath) -> Self {
         self.hot_path = hot_path;
@@ -316,7 +316,7 @@ fn assemble_pass(
     }
 }
 
-/// Damped update + convergence check shared by both solve loops. Damping
+/// Damped update + convergence check of the Newton loop. Damping
 /// only matters for nonlinear devices (it bounds the argument fed to
 /// exponentials); for linear systems the undamped solve is exact.
 /// Returns `(converged, scale)`.
@@ -394,114 +394,16 @@ pub(crate) fn solve(
         // confirms the delta is below tolerance.
         2
     };
-    if settings.hot_path.incremental {
-        solve_incremental(
-            circuit, vars, x, pinned, time, dt, method, settings, ws, nonlinear, max_iters,
-        )
-    } else {
-        solve_legacy(
-            circuit, vars, x, pinned, time, dt, method, settings, ws, nonlinear, max_iters,
-        )
-    }
-}
-
-/// Reference loop: full restamp and full factorisation every iteration.
-#[allow(clippy::too_many_arguments)]
-fn solve_legacy(
-    circuit: &Circuit,
-    vars: &VarMap,
-    x: &mut [f64],
-    pinned: &[f64],
-    time: f64,
-    dt: Option<f64>,
-    method: IntegrationMethod,
-    settings: &NewtonSettings,
-    ws: &mut NewtonWorkspace,
-    nonlinear: bool,
-    max_iters: usize,
-) -> Result<usize, CircuitError> {
-    for iter in 0..max_iters {
-        ws.matrix.clear();
-        ws.rhs.fill(0.0);
-        {
-            let mut ctx = StampCtx {
-                mode: StampMode::Assemble {
-                    matrix: &mut ws.matrix,
-                    rhs: &mut ws.rhs,
-                },
-                vars,
-                x,
-                pinned,
-                time,
-                dt,
-                method,
-            };
-            for dev in &circuit.devices {
-                dev.stamp(&mut ctx);
-            }
-        }
-        // gmin shunt on free node diagonals keeps floating nodes solvable.
-        for col in 0..vars.n_free {
-            ws.matrix.add(col, col, settings.gmin);
-        }
-        ws.x_new.copy_from_slice(&ws.rhs);
-        ws.matrix.factor()?;
-        ws.matrix.substitute(&mut ws.x_new);
-        ws.perf.factorizations += 1;
-        ws.perf.substitutions += 1;
-        #[cfg(feature = "fault-injection")]
-        if let Some(plan) = &settings.fault {
-            if plan.injects_nan(time, dt) {
-                ws.x_new[0] = f64::NAN;
-            }
-        }
-        // A NaN/Inf in the update means a poisoned stamp or an overflowed
-        // companion model; iterating further only launders the garbage
-        // through the damped update, so fail structurally right here.
-        if ws.x_new.iter().any(|v| !v.is_finite()) {
-            return Err(CircuitError::NonFiniteSolution {
-                time,
-                iteration: iter,
-            });
-        }
-        let (converged, scale) = damped_update(nonlinear, vars, settings, x, &ws.x_new);
-        if converged && (scale == 1.0) && iter > 0 {
-            return Ok(iter + 1);
-        }
-        // Linear circuits: solution after first full (unscaled) update is
-        // exact; accept immediately to save a reassembly.
-        if !nonlinear && scale == 1.0 {
-            return Ok(iter + 1);
-        }
-    }
-    Err(CircuitError::NewtonDiverged {
-        time,
-        iterations: max_iters,
-    })
-}
-
-/// Incremental-assembly hot path: baseline snapshot of the static set,
-/// per-iteration dynamic restamp, tape-accelerated stamping, and LU reuse
-/// (exact for all-linear circuits, guarded chord steps for nonlinear
-/// transients).
-#[allow(clippy::too_many_arguments)]
-fn solve_incremental(
-    circuit: &Circuit,
-    vars: &VarMap,
-    x: &mut [f64],
-    pinned: &[f64],
-    time: f64,
-    dt: Option<f64>,
-    method: IntegrationMethod,
-    settings: &NewtonSettings,
-    ws: &mut NewtonWorkspace,
-    nonlinear: bool,
-    max_iters: usize,
-) -> Result<usize, CircuitError> {
-    let n = vars.n_unknowns();
     let hp = settings.hot_path;
     if ws.partition.is_none() {
-        ws.partition = Some(circuit.stamp_partition());
+        let mut part = circuit.stamp_partition();
+        if !hp.incremental {
+            // Every device restamps each iteration; the baseline holds only
+            // the gmin shunts.
+            part.static_devices.clear();
+            part.dynamic_devices = (0..circuit.devices.len()).collect();
+        }
+        ws.partition = Some(part);
     }
     // Destructure so the borrow checker sees the disjoint fields.
     let NewtonWorkspace {

@@ -213,8 +213,9 @@ pub(crate) fn record_global_demotion() {
 /// Newton and per-step LU reuse make `substitutions > factorizations`),
 /// how often per-`(time, dt)` baseline snapshots of the static devices
 /// were reused instead of restamped, and how often slot-resolved stamp
-/// tapes replaced hash-path assembly. All-zero with
-/// [`crate::analysis::HotPath::legacy`].
+/// tapes replaced hash-path assembly. With
+/// [`crate::analysis::HotPath::legacy`] the bypass and tape counters stay
+/// zero and every substitution has its own factorisation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SolverPerf {
     /// Numeric LU factorisations computed.
@@ -226,7 +227,7 @@ pub struct SolverPerf {
     /// plus whole-step LU bypasses).
     pub lu_bypasses: u64,
     /// Static-device baseline snapshots taken (one per `(time, dt,
-    /// method)` point with the incremental path on).
+    /// method)` point, plus one per matrix structure change).
     pub baseline_snapshots: u64,
     /// Newton iterations that started from a baseline restore instead of
     /// a full restamp.
