@@ -266,7 +266,7 @@ impl CacheStats {
 /// The card, geometry and timing are fixed at construction; calibrations
 /// are computed lazily on first access and shared afterwards.
 ///
-/// Internally the key space is split across [`CACHE_SHARDS`] mutex-guarded
+/// Internally the key space is split across `CACHE_SHARDS` mutex-guarded
 /// shards so concurrent lookups of different keys rarely contend, and each
 /// key maps to an `Arc<OnceLock<..>>` slot so concurrent lookups of the
 /// *same* cold key block on one in-flight calibration instead of running

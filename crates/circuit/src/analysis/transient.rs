@@ -11,7 +11,7 @@ use crate::error::CircuitError;
 use crate::node::NodeId;
 use crate::probe::{
     record_global_recovery, record_global_solver, record_global_steps, RecoveryStats, StepStats,
-    TraceStore, TransientResult,
+    TransientResult,
 };
 use crate::stamp::{CommitCtx, IntegrationMethod, VarKind};
 
@@ -28,9 +28,8 @@ pub enum InitialState {
 
 /// Which signals are recorded sample-by-sample.
 ///
-/// Pinned-source currents/powers and per-device energies are always
-/// accumulated; this only controls node-voltage traces (the dominant memory
-/// cost for Monte-Carlo sweeps).
+/// Per-source energy is always accumulated; this only controls node-voltage
+/// traces (the dominant memory cost for Monte-Carlo sweeps).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub enum RecordMode {
     /// Record every node voltage (default; convenient for debugging and
@@ -514,6 +513,21 @@ impl Transient {
                 true
             }
         };
+
+        // --- Recording setup ----------------------------------------------
+        let recorded: Vec<NodeId> = match &opts.record {
+            RecordMode::AllNodes => circuit.nodes().map(|(id, _)| id).collect(),
+            RecordMode::Nodes(list) => list.clone(),
+            RecordMode::None => Vec::new(),
+        };
+        let mut res = TransientResult::new(circuit, &recorded);
+        let n_pins = circuit.pin_count();
+        let mut current_out = vec![0.0; circuit.node_count()];
+        let mut pin_power_prev = vec![0.0; n_pins];
+        let mut pin_energy = vec![0.0; n_pins];
+        let mut stats = StepStats::default();
+        let mut recovery = RecoveryStats::default();
+        // Initialise device state and record the t = 0 sample.
         {
             let ctx = CommitCtx {
                 vars: &vars,
@@ -526,27 +540,8 @@ impl Transient {
             for dev in circuit.devices.iter_mut() {
                 dev.init(&ctx, uic);
             }
+            res.push_sample(0.0, &ctx, &pin_energy);
         }
-
-        // --- Recording setup ----------------------------------------------
-        let recorded: Vec<NodeId> = match &opts.record {
-            RecordMode::AllNodes => circuit.nodes().map(|(id, _)| id).collect(),
-            RecordMode::Nodes(list) => list.clone(),
-            RecordMode::None => Vec::new(),
-        };
-        let mut store = TraceStore::new(circuit, &recorded);
-        let n_pins = circuit.pin_count();
-        let n_devices = circuit.device_count();
-        let mut current_out = vec![0.0; circuit.node_count()];
-        let mut pin_power_prev = vec![0.0; n_pins];
-        let mut device_power_prev = vec![0.0; n_devices];
-        let mut pin_energy = vec![0.0; n_pins];
-        let mut device_energy = vec![0.0; n_devices];
-        let mut max_kcl = 0.0f64;
-        let mut stats = StepStats::default();
-        let mut recovery = RecoveryStats::default();
-
-        // Sample at t = 0.
         newton::measure_currents(
             circuit,
             &vars,
@@ -558,23 +553,7 @@ impl Transient {
             &mut current_out,
         );
         for (p, pin) in circuit.pins.iter().enumerate() {
-            let i = current_out[pin.node.index()];
-            pin_power_prev[p] = pinned[p] * i;
-            store.push_pin(p, i, pin_power_prev[p]);
-        }
-        {
-            let ctx = CommitCtx {
-                vars: &vars,
-                x: &x,
-                pinned: &pinned,
-                time: 0.0,
-                dt: None,
-                method: opts.method,
-            };
-            for (d, dev) in circuit.devices.iter().enumerate() {
-                device_power_prev[d] = dev.dissipated_power(&ctx).unwrap_or(0.0);
-            }
-            store.push_sample(0.0, &ctx, &pin_energy);
+            pin_power_prev[p] = pinned[p] * current_out[pin.node.index()];
         }
 
         // --- Time stepping --------------------------------------------------
@@ -583,10 +562,14 @@ impl Transient {
         let mut t = 0.0f64;
         let t_eps = opts.t_stop * 1e-12;
         // Adaptive-control state: the step the controller wants next and
-        // the last accepted state `(x_{n-1}, dt_prev)` for the predictor.
-        // Both restart at breakpoints, where waveform slopes jump.
+        // the last accepted state `x_{n-1}` with its step `dt_prev` for the
+        // predictor. Both restart at breakpoints, where waveform slopes
+        // jump (`dt_prev = None`).
         let mut cur_dt = opts.dt;
-        let mut hist: Option<(Vec<f64>, f64)> = None;
+        let mut x_prev = vec![0.0; n];
+        let mut dt_prev: Option<f64> = None;
+        // Attempt buffer, swapped with `x` on acceptance.
+        let mut x_try = vec![0.0; n];
         while t < opts.t_stop - t_eps {
             // Advance past consumed breakpoints.
             while let Some(&bp) = bp_iter.peek() {
@@ -621,12 +604,11 @@ impl Transient {
             // acceptance. The floor is enforced where the step shrinks
             // (Newton halving), not up front: a breakpoint segment
             // legitimately shorter than `dt_min` must still be steppable.
-            let mut x_try;
             let mut step_recovered = false;
             loop {
                 let t_next = t + dt;
                 circuit.pinned_values_at(t_next, &mut pinned);
-                x_try = x.clone();
+                x_try.copy_from_slice(&x);
                 let mut attempt = newton::solve(
                     circuit,
                     &vars,
@@ -665,9 +647,9 @@ impl Transient {
                     Ok(iters) => {
                         stats.newton_iters += iters as u64;
                         if adaptive {
-                            if let Some((ref x_prev, dt_prev)) = hist {
+                            if let Some(dt_prev) = dt_prev {
                                 let ratio =
-                                    lte_ratio(&x_try, &x, x_prev, dt, dt_prev, vars.n_free, trtol);
+                                    lte_ratio(&x_try, &x, &x_prev, dt, dt_prev, vars.n_free, trtol);
                                 if ratio > 1.0 && dt > opts.dt * (1.0 + 1e-12) {
                                     // Reject: retry smaller. The base step
                                     // `opts.dt` is the accuracy reference
@@ -711,7 +693,8 @@ impl Transient {
                 recovery.recovered_steps += 1;
             }
             let t_next = t + dt;
-            let x_accepted_prev = std::mem::replace(&mut x, x_try);
+            // `x_try` now holds the previous accepted state.
+            std::mem::swap(&mut x, &mut x_try);
 
             // Measure pass BEFORE commit: companion models must still see
             // the previous state so capacitor/FeFET currents are exact.
@@ -727,7 +710,7 @@ impl Transient {
             );
             for (idx, kind) in vars.kinds.iter().enumerate() {
                 if matches!(kind, VarKind::Free(_)) {
-                    max_kcl = max_kcl.max(current_out[idx].abs());
+                    res.max_kcl_residual = res.max_kcl_residual.max(current_out[idx].abs());
                 }
             }
             // Commit device state, then account energies at the new state.
@@ -757,37 +740,21 @@ impl Transient {
                         cur_dt = cur_dt.min(hint.max(opts.dt));
                     }
                 }
-            }
-            {
-                let ctx = CommitCtx {
-                    vars: &vars,
-                    x: &x,
-                    pinned: &pinned,
-                    time: t_next,
-                    dt: Some(dt),
-                    method: opts.method,
-                };
                 for (p, pin) in circuit.pins.iter().enumerate() {
-                    let i = current_out[pin.node.index()];
-                    let power = pinned[p] * i;
+                    let power = pinned[p] * current_out[pin.node.index()];
                     pin_energy[p] += 0.5 * (pin_power_prev[p] + power) * dt;
                     pin_power_prev[p] = power;
-                    store.push_pin(p, i, power);
                 }
-                for (d, dev) in circuit.devices.iter().enumerate() {
-                    let power = dev.dissipated_power(&ctx).unwrap_or(0.0);
-                    device_energy[d] += 0.5 * (device_power_prev[d] + power) * dt;
-                    device_power_prev[d] = power;
-                }
-                store.push_sample(t_next, &ctx, &pin_energy);
+                res.push_sample(t_next, &ctx, &pin_energy);
             }
             if adaptive {
-                hist = Some((x_accepted_prev, dt));
+                std::mem::swap(&mut x_prev, &mut x_try);
+                dt_prev = Some(dt);
                 // Waveform slopes are discontinuous at breakpoints:
                 // restart the controller there so the following edge is
                 // resolved at the base step again.
                 if t_next >= seg_end - t_eps && bp_iter.peek().is_some() {
-                    hist = None;
+                    dt_prev = None;
                     cur_dt = opts.dt;
                 }
             }
@@ -799,6 +766,9 @@ impl Transient {
         record_global_steps(stats);
         record_global_recovery(recovery);
         record_global_solver(ws.perf);
-        Ok(store.finish(pin_energy, device_energy, max_kcl, stats, recovery, ws.perf))
+        res.stats = stats;
+        res.recovery = recovery;
+        res.solver = ws.perf;
+        Ok(res)
     }
 }

@@ -127,16 +127,6 @@ pub trait Device: Any + std::fmt::Debug + Send {
         StampClass::Dynamic
     }
 
-    /// Instantaneous dissipated power (watts) at the committed solution.
-    ///
-    /// Return `None` for lossless devices (capacitors) and for devices whose
-    /// dissipation is accounted elsewhere. The transient engine integrates
-    /// this into the per-device energy report.
-    fn dissipated_power(&self, ctx: &CommitCtx<'_>) -> Option<f64> {
-        let _ = ctx;
-        None
-    }
-
     /// Slope-discontinuity instants of any internal waveform in `[0, t_stop]`.
     ///
     /// The transient engine aligns step boundaries with these.

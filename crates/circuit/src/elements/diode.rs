@@ -2,7 +2,7 @@
 
 use crate::device::{Device, StampClass};
 use crate::node::NodeId;
-use crate::stamp::{CommitCtx, StampCtx};
+use crate::stamp::StampCtx;
 
 /// An exponential (Shockley) diode.
 ///
@@ -96,12 +96,6 @@ impl Device for Diode {
 
     fn stamp_class(&self) -> StampClass {
         StampClass::Dynamic
-    }
-
-    fn dissipated_power(&self, ctx: &CommitCtx<'_>) -> Option<f64> {
-        let v = ctx.v(self.anode) - ctx.v(self.cathode);
-        let (i, _) = self.current_and_conductance(v);
-        Some(i * v)
     }
 }
 

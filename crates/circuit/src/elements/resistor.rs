@@ -2,7 +2,7 @@
 
 use crate::device::{Device, StampClass};
 use crate::node::NodeId;
-use crate::stamp::{CommitCtx, StampCtx};
+use crate::stamp::StampCtx;
 
 /// A linear resistor between two nodes.
 ///
@@ -79,11 +79,6 @@ impl Device for Resistor {
             names(self.b),
             crate::format_spice_number(self.resistance())
         ))
-    }
-
-    fn dissipated_power(&self, ctx: &CommitCtx<'_>) -> Option<f64> {
-        let v = ctx.v(self.a) - ctx.v(self.b);
-        Some(self.conductance * v * v)
     }
 }
 

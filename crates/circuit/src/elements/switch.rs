@@ -2,7 +2,7 @@
 
 use crate::device::{Device, StampClass};
 use crate::node::NodeId;
-use crate::stamp::{CommitCtx, StampCtx};
+use crate::stamp::StampCtx;
 
 /// A resistive switch whose state follows a fixed time schedule.
 ///
@@ -109,11 +109,6 @@ impl Device for TimedSwitch {
     // g(t) moves with time but never with the candidate solution.
     fn stamp_class(&self) -> StampClass {
         StampClass::TimeVarying
-    }
-
-    fn dissipated_power(&self, ctx: &CommitCtx<'_>) -> Option<f64> {
-        let v = ctx.v(self.a) - ctx.v(self.b);
-        Some(self.conductance_at(ctx.time()) * v * v)
     }
 
     fn breakpoints(&self, t_stop: f64) -> Vec<f64> {

@@ -19,9 +19,9 @@
 //!   default or truncation-error controlled
 //!   ([`analysis::StepControl::Adaptive`]), which grows the step across
 //!   flat waveform regions and shrinks it on fast edges.
-//! * **Measurement** — voltage probes on any node, per-pinned-source current
-//!   traces, and energy accounting (∫V·I dt per supply, per-device
-//!   dissipation), which is the core observable of the TCAM evaluation.
+//! * **Measurement** — voltage probes on any node and energy accounting
+//!   (∫V·I dt per supply, over the whole run or a time window), which is
+//!   the core observable of the TCAM evaluation.
 //!
 //! # Example: RC discharge
 //!

@@ -478,24 +478,28 @@ impl<'a> Trace<'a> {
     }
 }
 
-/// Per-sample storage built during a transient run.
-#[derive(Debug)]
-pub(crate) struct TraceStore {
+/// Result of a transient run: recorded traces plus energy accounting.
+#[derive(Debug, Clone)]
+pub struct TransientResult {
     times: Vec<f64>,
     node_ids: Vec<NodeId>,
     node_name_index: HashMap<String, usize>,
     voltages: Vec<Vec<f64>>,
     pin_labels: Vec<String>,
     pin_label_index: HashMap<String, usize>,
-    pin_currents: Vec<Vec<f64>>,
-    pin_powers: Vec<Vec<f64>>,
+    /// Cumulative energy delivered by each pin, one sample per instant;
+    /// the last sample is the run total.
     pin_energy_traces: Vec<Vec<f64>>,
-    device_labels: Vec<String>,
-    device_label_index: HashMap<String, usize>,
+    pub(crate) max_kcl_residual: f64,
+    pub(crate) stats: StepStats,
+    pub(crate) recovery: RecoveryStats,
+    pub(crate) solver: SolverPerf,
 }
 
-impl TraceStore {
-    pub fn new(circuit: &Circuit, recorded: &[NodeId]) -> Self {
+impl TransientResult {
+    /// An empty result recording the voltages of `recorded` and the
+    /// cumulative energy of every pinned source of `circuit`.
+    pub(crate) fn new(circuit: &Circuit, recorded: &[NodeId]) -> Self {
         let node_name_index = recorded
             .iter()
             .enumerate()
@@ -513,39 +517,24 @@ impl TraceStore {
             .enumerate()
             .map(|(i, l)| (l.clone(), i))
             .collect();
-        let device_labels: Vec<String> = (0..circuit.device_count())
-            .map(|d| {
-                circuit
-                    .device_label(crate::device::DeviceId(d as u32))
-                    .to_string()
-            })
-            .collect();
-        let device_label_index = device_labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (l.clone(), i))
-            .collect();
         Self {
             times: Vec::new(),
             node_ids: recorded.to_vec(),
             node_name_index,
             voltages: vec![Vec::new(); recorded.len()],
             pin_label_index,
-            pin_currents: vec![Vec::new(); pin_labels.len()],
-            pin_powers: vec![Vec::new(); pin_labels.len()],
             pin_energy_traces: vec![Vec::new(); pin_labels.len()],
             pin_labels,
-            device_labels,
-            device_label_index,
+            max_kcl_residual: 0.0,
+            stats: StepStats::default(),
+            recovery: RecoveryStats::default(),
+            solver: SolverPerf::default(),
         }
     }
 
-    pub fn push_pin(&mut self, pin: usize, current: f64, power: f64) {
-        self.pin_currents[pin].push(current);
-        self.pin_powers[pin].push(power);
-    }
-
-    pub fn push_sample(&mut self, t: f64, ctx: &CommitCtx<'_>, pin_energy: &[f64]) {
+    /// Records one instant: the recorded node voltages at `ctx` and each
+    /// pin's cumulative energy.
+    pub(crate) fn push_sample(&mut self, t: f64, ctx: &CommitCtx<'_>, pin_energy: &[f64]) {
         self.times.push(t);
         for (k, &node) in self.node_ids.iter().enumerate() {
             self.voltages[k].push(ctx.v(node));
@@ -555,61 +544,6 @@ impl TraceStore {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub fn finish(
-        self,
-        pin_energy: Vec<f64>,
-        device_energy: Vec<f64>,
-        max_kcl_residual: f64,
-        stats: StepStats,
-        recovery: RecoveryStats,
-        solver: SolverPerf,
-    ) -> TransientResult {
-        TransientResult {
-            times: self.times,
-            node_ids: self.node_ids,
-            node_name_index: self.node_name_index,
-            voltages: self.voltages,
-            pin_labels: self.pin_labels,
-            pin_label_index: self.pin_label_index,
-            pin_currents: self.pin_currents,
-            pin_powers: self.pin_powers,
-            pin_energy_traces: self.pin_energy_traces,
-            pin_energy,
-            device_labels: self.device_labels,
-            device_label_index: self.device_label_index,
-            device_energy,
-            max_kcl_residual,
-            stats,
-            recovery,
-            solver,
-        }
-    }
-}
-
-/// Result of a transient run: recorded traces plus energy accounting.
-#[derive(Debug, Clone)]
-pub struct TransientResult {
-    times: Vec<f64>,
-    node_ids: Vec<NodeId>,
-    node_name_index: HashMap<String, usize>,
-    voltages: Vec<Vec<f64>>,
-    pin_labels: Vec<String>,
-    pin_label_index: HashMap<String, usize>,
-    pin_currents: Vec<Vec<f64>>,
-    pin_powers: Vec<Vec<f64>>,
-    pin_energy_traces: Vec<Vec<f64>>,
-    pin_energy: Vec<f64>,
-    device_labels: Vec<String>,
-    device_label_index: HashMap<String, usize>,
-    device_energy: Vec<f64>,
-    max_kcl_residual: f64,
-    stats: StepStats,
-    recovery: RecoveryStats,
-    solver: SolverPerf,
-}
-
-impl TransientResult {
     /// Sample instants.
     pub fn times(&self) -> &[f64] {
         &self.times
@@ -689,39 +623,17 @@ impl TransientResult {
         })
     }
 
+    /// Energy delivered by pin `p` over the whole run: the last sample of
+    /// its cumulative trace.
+    fn pin_total(&self, p: usize) -> f64 {
+        self.pin_energy_traces[p].last().copied().unwrap_or(0.0)
+    }
+
     fn pin_index(&self, label: &str) -> Result<usize, CircuitError> {
         self.pin_label_index
             .get(label)
             .copied()
             .ok_or_else(|| CircuitError::UnknownTrace(label.to_string()))
-    }
-
-    /// Current delivered by a pinned source over time (amps).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::UnknownTrace`] for unknown pin labels.
-    pub fn pin_current(&self, label: &str) -> Result<Trace<'_>, CircuitError> {
-        let p = self.pin_index(label)?;
-        Ok(Trace {
-            times: &self.times,
-            values: &self.pin_currents[p],
-            name: &self.pin_labels[p],
-        })
-    }
-
-    /// Instantaneous power delivered by a pinned source (watts).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::UnknownTrace`] for unknown pin labels.
-    pub fn pin_power(&self, label: &str) -> Result<Trace<'_>, CircuitError> {
-        let p = self.pin_index(label)?;
-        Ok(Trace {
-            times: &self.times,
-            values: &self.pin_powers[p],
-            name: &self.pin_labels[p],
-        })
     }
 
     /// Total energy delivered by a pinned source over the run (joules).
@@ -730,7 +642,7 @@ impl TransientResult {
     ///
     /// Returns [`CircuitError::UnknownTrace`] for unknown pin labels.
     pub fn supply_energy(&self, label: &str) -> Result<f64, CircuitError> {
-        Ok(self.pin_energy[self.pin_index(label)?])
+        Ok(self.pin_total(self.pin_index(label)?))
     }
 
     /// Energy delivered by a pinned source within `[t0, t1]` (joules).
@@ -750,7 +662,7 @@ impl TransientResult {
 
     /// Sum of the energies delivered by all pinned sources (joules).
     pub fn total_supply_energy(&self) -> f64 {
-        self.pin_energy.iter().sum()
+        (0..self.pin_labels.len()).map(|p| self.pin_total(p)).sum()
     }
 
     /// Sum over all pins of the energy delivered within `[t0, t1]`.
@@ -764,31 +676,6 @@ impl TransientResult {
     /// Labels of all pinned sources.
     pub fn pin_labels(&self) -> &[String] {
         &self.pin_labels
-    }
-
-    /// Energy dissipated in a device over the run, by label (joules).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::UnknownTrace`] for unknown device labels.
-    pub fn device_energy(&self, label: &str) -> Result<f64, CircuitError> {
-        self.device_label_index
-            .get(label)
-            .map(|&d| self.device_energy[d])
-            .ok_or_else(|| CircuitError::UnknownTrace(label.to_string()))
-    }
-
-    /// Total energy dissipated across all devices that report power.
-    pub fn total_device_energy(&self) -> f64 {
-        self.device_energy.iter().sum()
-    }
-
-    /// Iterates over `(device_label, dissipated_energy)` pairs.
-    pub fn device_energies(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.device_labels
-            .iter()
-            .map(String::as_str)
-            .zip(self.device_energy.iter().copied())
     }
 }
 

@@ -293,14 +293,6 @@ impl Device for FeFet {
     fn stamp_class(&self) -> StampClass {
         StampClass::Dynamic
     }
-
-    fn dissipated_power(&self, ctx: &CommitCtx<'_>) -> Option<f64> {
-        let vg = ctx.v(self.gate);
-        let vd = ctx.v(self.drain);
-        let vs = ctx.v(self.source);
-        let i = self.drain_current(vg, vd, vs);
-        Some(i * (vd - vs))
-    }
 }
 
 #[cfg(test)]

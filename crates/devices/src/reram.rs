@@ -1,6 +1,6 @@
 //! Bistable resistive memory element for the 2T-2R TCAM baseline.
 
-use ftcam_circuit::{CommitCtx, Device, NodeId, StampClass, StampCtx};
+use ftcam_circuit::{Device, NodeId, StampClass, StampCtx};
 use serde::{Deserialize, Serialize};
 
 /// Programmed state of a [`Reram`] cell.
@@ -113,11 +113,6 @@ impl Device for Reram {
     // duration of any transient.
     fn stamp_class(&self) -> StampClass {
         StampClass::Linear
-    }
-
-    fn dissipated_power(&self, ctx: &CommitCtx<'_>) -> Option<f64> {
-        let v = ctx.v(self.a) - ctx.v(self.b);
-        Some(v * v / self.resistance())
     }
 }
 

@@ -39,7 +39,7 @@ pub struct PrefixIndex {
 }
 
 impl PrefixIndex {
-    /// Stride that targets ~[`TARGET_BUCKET_ROWS`] rows per bucket.
+    /// Stride that targets ~`TARGET_BUCKET_ROWS` rows per bucket.
     pub fn stride_for(rows: usize, width: usize) -> usize {
         let mut k = 0usize;
         while k < MAX_STRIDE && k < width && (rows >> k) > TARGET_BUCKET_ROWS {
