@@ -1,7 +1,7 @@
 //! The array-level energy/delay/area model.
 
 use ftcam_cells::{DesignKind, Geometry};
-use ftcam_workloads::{MismatchHistogram, TernaryWord, ToggleStats};
+use ftcam_workloads::{MismatchHistogram, ToggleStats};
 use serde::{Deserialize, Serialize};
 
 use crate::calibrate::RowCalibration;
@@ -67,12 +67,6 @@ impl ArrayModel {
             calibration,
             peripherals: PeripheralModel::default(),
         }
-    }
-
-    /// Replaces the peripheral model.
-    pub fn with_peripherals(mut self, peripherals: PeripheralModel) -> Self {
-        self.peripherals = peripherals;
-        self
     }
 
     /// The array shape/design.
@@ -234,17 +228,6 @@ impl ArrayModel {
         let cell_um2 = geometry.cell_area_um2(area_f2);
         let periph_overhead = 1.25;
         cell_um2 * self.params.bits() as f64 * periph_overhead * 1e-6
-    }
-
-    /// Energy of one query against a functional table stored in this array
-    /// shape (convenience for application studies).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table row widths differ from the array width.
-    pub fn search_energy_for_query(&self, table_rows: &[TernaryWord], query: &TernaryWord) -> f64 {
-        let profile: Vec<usize> = table_rows.iter().map(|r| r.mismatch_count(query)).collect();
-        self.search_energy_for_profile(&profile)
     }
 }
 

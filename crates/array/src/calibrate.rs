@@ -2,7 +2,7 @@
 //! the array model scales.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -231,33 +231,20 @@ const CACHE_SHARDS: usize = 16;
 
 type Slot = Arc<OnceLock<Result<RowCalibration, CellError>>>;
 
-/// A point-in-time snapshot of [`CalibrationCache`] activity counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct CacheStats {
-    /// Lookups answered from an already-initialised slot.
-    pub hits: u64,
-    /// Lookups that found no initialised slot for their key.
-    pub misses: u64,
-    /// Misses that blocked on a calibration already in flight on another
-    /// thread instead of starting their own.
-    pub dedup_waits: u64,
-    /// Calibrations actually executed (exactly once per cold key).
-    pub calibrations: u64,
-    /// Wall-clock nanoseconds spent inside `calibrate_row`.
-    pub calibrate_nanos: u64,
-}
-
-impl CacheStats {
-    /// Counter-wise difference against an earlier snapshot.
-    #[must_use]
-    pub fn since(&self, earlier: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            dedup_waits: self.dedup_waits - earlier.dedup_waits,
-            calibrations: self.calibrations - earlier.calibrations,
-            calibrate_nanos: self.calibrate_nanos - earlier.calibrate_nanos,
-        }
+ftcam_circuit::counters! {
+    /// A point-in-time snapshot of [`CalibrationCache`] activity counters.
+    pub struct CacheStats, ledger CacheCounters {
+        /// Lookups answered from an already-initialised slot.
+        hits,
+        /// Lookups that found no initialised slot for their key.
+        misses,
+        /// Misses that blocked on a calibration already in flight on another
+        /// thread instead of starting their own.
+        dedup_waits,
+        /// Calibrations actually executed (exactly once per cold key).
+        calibrations,
+        /// Wall-clock nanoseconds spent inside `calibrate_row`.
+        calibrate_nanos,
     }
 }
 
@@ -279,11 +266,7 @@ pub struct CalibrationCache {
     geometry: Geometry,
     timing: SearchTiming,
     shards: [Mutex<HashMap<(DesignKind, usize), Slot>>; CACHE_SHARDS],
-    hits: AtomicU64,
-    misses: AtomicU64,
-    dedup_waits: AtomicU64,
-    calibrations: AtomicU64,
-    calibrate_nanos: AtomicU64,
+    counters: CacheCounters,
 }
 
 impl CalibrationCache {
@@ -294,11 +277,7 @@ impl CalibrationCache {
             geometry,
             timing,
             shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            dedup_waits: AtomicU64::new(0),
-            calibrations: AtomicU64::new(0),
-            calibrate_nanos: AtomicU64::new(0),
+            counters: CacheCounters::new(),
         }
     }
 
@@ -314,13 +293,7 @@ impl CalibrationCache {
 
     /// A snapshot of the activity counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            dedup_waits: self.dedup_waits.load(Ordering::Relaxed),
-            calibrations: self.calibrations.load(Ordering::Relaxed),
-            calibrate_nanos: self.calibrate_nanos.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 
     fn shard(&self, key: &(DesignKind, usize)) -> &Mutex<HashMap<(DesignKind, usize), Slot>> {
@@ -361,20 +334,21 @@ impl CalibrationCache {
         // The shard lock is already released: a long calibration never
         // blocks lookups of other keys, only of this slot.
         if let Some(done) = slot.get() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
             return done.clone();
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.counters.misses.fetch_add(1, Ordering::Relaxed);
         if !owner {
-            self.dedup_waits.fetch_add(1, Ordering::Relaxed);
+            self.counters.dedup_waits.fetch_add(1, Ordering::Relaxed);
         }
         slot.get_or_init(|| {
             // `get_or_init` guarantees exactly one closure run per slot;
             // every other thread blocks here until it finishes.
-            self.calibrations.fetch_add(1, Ordering::Relaxed);
+            self.counters.calibrations.fetch_add(1, Ordering::Relaxed);
             let started = Instant::now();
             let result = calibrate_row(kind, &self.card, &self.geometry, &self.timing, width);
-            self.calibrate_nanos
+            self.counters
+                .calibrate_nanos
                 .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
             result
         })

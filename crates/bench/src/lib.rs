@@ -54,20 +54,12 @@ impl BenchReport {
 
     /// Summed step statistics across all records.
     pub fn total_steps(&self) -> StepStats {
-        let mut total = StepStats::default();
-        for r in &self.records {
-            total += r.steps;
-        }
-        total
+        self.records.iter().map(|r| r.steps).sum()
     }
 
     /// Summed solver counters across all records.
     pub fn total_solver(&self) -> SolverPerf {
-        let mut total = SolverPerf::default();
-        for r in &self.records {
-            total += r.solver;
-        }
-        total
+        self.records.iter().map(|r| r.solver).sum()
     }
 }
 
@@ -140,5 +132,16 @@ mod tests {
         let path = save_artifact(&dir, &Artifact::Table(t)).unwrap();
         assert!(path.exists());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The checked-in perf baseline survives a load/re-serialise round
+    /// trip unchanged: the counter structs keep their wire format.
+    #[test]
+    fn solver_baseline_round_trips() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci/solver_baseline.json");
+        let report = load_bench_report(&path).unwrap();
+        let on_disk: serde_json::Value =
+            serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(serde_json::to_value(&report).unwrap(), on_disk);
     }
 }

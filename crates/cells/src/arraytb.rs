@@ -12,7 +12,6 @@
 //! Array sizes here are kept small (≤ ~16×32) — the point is validation,
 //! not capacity; larger arrays belong to the analytical model.
 
-use ftcam_circuit::{NewtonSettings, RecoveryStats, SolverPerf, StepStats};
 use ftcam_devices::TechCard;
 use ftcam_workloads::{TcamTable, TernaryWord};
 
@@ -78,34 +77,6 @@ impl ArrayTestbench {
             rows,
             stored: TcamTable::new(width),
         })
-    }
-
-    /// Array shape `(rows, width)`.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.tb.width)
-    }
-
-    /// Cumulative transient step statistics over every search this
-    /// testbench has run.
-    pub fn step_stats(&self) -> StepStats {
-        self.tb.step_stats
-    }
-
-    /// Cumulative recovery-ladder statistics over every search this
-    /// testbench has run.
-    pub fn recovery_stats(&self) -> RecoveryStats {
-        self.tb.recovery_stats
-    }
-
-    /// Cumulative solver hot-path counters (factorisations, LU bypasses,
-    /// tape replays, ...) over every search this testbench has run.
-    pub fn solver_perf(&self) -> SolverPerf {
-        self.tb.solver_perf
-    }
-
-    /// Overrides the Newton solver settings for every subsequent search.
-    pub fn set_newton_settings(&mut self, newton: NewtonSettings) {
-        self.tb.newton = newton;
     }
 
     /// The stored content as a golden-model table.

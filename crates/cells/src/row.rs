@@ -93,12 +93,6 @@ impl RowTestbench {
         self.tb.solver_perf
     }
 
-    /// The Newton solver settings applied to every transient this
-    /// testbench runs.
-    pub fn newton_settings(&self) -> NewtonSettings {
-        self.tb.newton
-    }
-
     /// Overrides the Newton solver settings (tolerances, damping, `gmin`,
     /// and — under the `fault-injection` feature — an injected fault plan)
     /// for every subsequent operation.

@@ -6,7 +6,7 @@ use crate::analysis::newton::{self, NewtonSettings, NewtonWorkspace};
 use crate::circuit::Circuit;
 use crate::error::CircuitError;
 use crate::node::NodeId;
-use crate::probe::record_global_solver;
+use crate::probe::{self, RecoveryStats};
 use crate::stamp::{CommitCtx, IntegrationMethod, VarMap};
 
 /// Solved DC operating point.
@@ -31,15 +31,6 @@ impl DcResult {
             .get(node)
             .map(|&i| self.voltages[i])
             .ok_or_else(|| CircuitError::UnknownNodeName(node.to_string()))
-    }
-
-    /// Voltage of a node by id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node does not belong to the analysed circuit.
-    pub fn voltage_of(&self, node: NodeId) -> f64 {
-        self.voltages[node.index()]
     }
 
     /// Current delivered by the pinned source with the given label.
@@ -136,12 +127,29 @@ pub(crate) fn solve_dc(
     vars: &VarMap,
     settings: &NewtonSettings,
 ) -> Result<(Vec<f64>, usize), CircuitError> {
-    let n = vars.n_unknowns();
-    let mut ws = NewtonWorkspace::new(n);
+    let mut ws = NewtonWorkspace::new(vars.n_unknowns());
+    let result = homotopy(circuit, vars, settings, &mut ws);
+    // The one exit: the solver work and any dense demotion of this
+    // operating point reach the process-wide totals exactly once.
+    probe::SOLVER.add(ws.perf);
+    probe::RECOVERY.add(RecoveryStats {
+        dense_demotions: ws.matrix.demotions(),
+        ..RecoveryStats::default()
+    });
+    result
+}
+
+/// A plain Newton solve, then a `gmin` homotopy if that fails.
+fn homotopy(
+    circuit: &Circuit,
+    vars: &VarMap,
+    settings: &NewtonSettings,
+    ws: &mut NewtonWorkspace,
+) -> Result<(Vec<f64>, usize), CircuitError> {
     let mut pinned = Vec::new();
     circuit.pinned_values_at(0.0, &mut pinned);
 
-    let mut x = vec![0.0; n];
+    let mut x = vec![0.0; vars.n_unknowns()];
     match newton::solve(
         circuit,
         vars,
@@ -151,19 +159,13 @@ pub(crate) fn solve_dc(
         None,
         IntegrationMethod::BackwardEuler,
         settings,
-        &mut ws,
+        ws,
     ) {
-        Ok(iters) => {
-            record_global_solver(ws.perf);
-            return Ok((x, iters));
-        }
+        Ok(iters) => return Ok((x, iters)),
         Err(CircuitError::NewtonDiverged { .. })
         | Err(CircuitError::SingularMatrix { .. })
         | Err(CircuitError::NonFiniteSolution { .. }) => {}
-        Err(e) => {
-            record_global_solver(ws.perf);
-            return Err(e);
-        }
+        Err(e) => return Err(e),
     }
 
     // gmin homotopy: start with a strong shunt and relax it.
@@ -172,7 +174,7 @@ pub(crate) fn solve_dc(
     let mut gmin = 1e-2;
     loop {
         let stepped = NewtonSettings { gmin, ..*settings };
-        match newton::solve(
+        total_iters += newton::solve(
             circuit,
             vars,
             &mut x,
@@ -181,16 +183,9 @@ pub(crate) fn solve_dc(
             None,
             IntegrationMethod::BackwardEuler,
             &stepped,
-            &mut ws,
-        ) {
-            Ok(iters) => total_iters += iters,
-            Err(e) => {
-                record_global_solver(ws.perf);
-                return Err(e);
-            }
-        }
+            ws,
+        )?;
         if gmin <= settings.gmin {
-            record_global_solver(ws.perf);
             return Ok((x, total_iters));
         }
         gmin = (gmin * 1e-2).max(settings.gmin);

@@ -9,11 +9,8 @@ use crate::analysis::newton::{self, NewtonSettings, NewtonWorkspace};
 use crate::circuit::Circuit;
 use crate::error::CircuitError;
 use crate::node::NodeId;
-use crate::probe::{
-    record_global_recovery, record_global_solver, record_global_steps, RecoveryStats, StepStats,
-    TransientResult,
-};
-use crate::stamp::{CommitCtx, IntegrationMethod, VarKind};
+use crate::probe::{self, RecoveryStats, StepStats, TransientResult};
+use crate::stamp::{CommitCtx, IntegrationMethod, VarKind, VarMap};
 
 /// How the initial state of a transient is established.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -107,16 +104,6 @@ impl StepControl {
     pub fn adaptive() -> Self {
         StepControl::Adaptive {
             trtol: Self::DEFAULT_TRTOL,
-            dt_min: 0.0,
-            dt_max: 0.0,
-        }
-    }
-
-    /// Adaptive control with an explicit tolerance; bounds still derive
-    /// from the base step.
-    pub fn adaptive_with_trtol(trtol: f64) -> Self {
-        StepControl::Adaptive {
-            trtol,
             dt_min: 0.0,
             dt_max: 0.0,
         }
@@ -472,6 +459,34 @@ impl Transient {
     /// * [`CircuitError::InvalidOption`] for nonsensical options.
     pub fn run(&self, circuit: &mut Circuit) -> Result<TransientResult, CircuitError> {
         self.opts.validate()?;
+        let vars = circuit.build_var_map();
+        let mut ws = NewtonWorkspace::new(vars.n_unknowns());
+        let mut stats = StepStats::default();
+        let mut recovery = RecoveryStats::default();
+        let result = self.integrate(circuit, &vars, &mut ws, &mut stats, &mut recovery);
+        // The one exit: whatever the outcome, the work done so far is
+        // added to the process-wide totals exactly once.
+        recovery.dense_demotions = ws.matrix.demotions();
+        probe::STEPS.add(stats);
+        probe::RECOVERY.add(recovery);
+        probe::SOLVER.add(ws.perf);
+        let mut res = result?;
+        res.stats = stats;
+        res.recovery = recovery;
+        res.solver = ws.perf;
+        Ok(res)
+    }
+
+    /// The body of [`Transient::run`]: establishes the initial state and
+    /// steps to `t_stop`, counting into `stats`, `recovery` and `ws.perf`.
+    fn integrate(
+        &self,
+        circuit: &mut Circuit,
+        vars: &VarMap,
+        ws: &mut NewtonWorkspace,
+        stats: &mut StepStats,
+        recovery: &mut RecoveryStats,
+    ) -> Result<TransientResult, CircuitError> {
         let opts = &self.opts;
         // Resolve the step-control policy against the base step.
         let (adaptive, trtol, dt_floor, dt_cap) = match opts.step {
@@ -490,9 +505,7 @@ impl Transient {
                 (true, trtol, lo, hi.max(opts.dt))
             }
         };
-        let vars = circuit.build_var_map();
         let n = vars.n_unknowns();
-        let mut ws = NewtonWorkspace::new(n);
         let mut x = vec![0.0; n];
         let mut pinned = Vec::new();
         circuit.pinned_values_at(0.0, &mut pinned);
@@ -500,7 +513,7 @@ impl Transient {
         // --- Initial state -------------------------------------------------
         let uic = match &opts.init {
             InitialState::DcOperatingPoint => {
-                let (x0, _) = solve_dc(circuit, &vars, &opts.newton)?;
+                let (x0, _) = solve_dc(circuit, vars, &opts.newton)?;
                 x = x0;
                 false
             }
@@ -525,12 +538,10 @@ impl Transient {
         let mut current_out = vec![0.0; circuit.node_count()];
         let mut pin_power_prev = vec![0.0; n_pins];
         let mut pin_energy = vec![0.0; n_pins];
-        let mut stats = StepStats::default();
-        let mut recovery = RecoveryStats::default();
         // Initialise device state and record the t = 0 sample.
         {
             let ctx = CommitCtx {
-                vars: &vars,
+                vars,
                 x: &x,
                 pinned: &pinned,
                 time: 0.0,
@@ -544,7 +555,7 @@ impl Transient {
         }
         newton::measure_currents(
             circuit,
-            &vars,
+            vars,
             &x,
             &pinned,
             0.0,
@@ -611,14 +622,14 @@ impl Transient {
                 x_try.copy_from_slice(&x);
                 let mut attempt = newton::solve(
                     circuit,
-                    &vars,
+                    vars,
                     &mut x_try,
                     &pinned,
                     t_next,
                     Some(dt),
                     opts.method,
                     &opts.newton,
-                    &mut ws,
+                    ws,
                 );
                 if let Err(e) = &attempt {
                     if recoverable(e) {
@@ -627,7 +638,7 @@ impl Transient {
                         }
                         attempt = recover_step(
                             circuit,
-                            &vars,
+                            vars,
                             &x,
                             &mut x_try,
                             &pinned,
@@ -635,8 +646,8 @@ impl Transient {
                             dt,
                             opts.method,
                             &opts.newton,
-                            &mut ws,
-                            &mut recovery,
+                            ws,
+                            recovery,
                         );
                         if attempt.is_ok() {
                             step_recovered = true;
@@ -679,10 +690,6 @@ impl Transient {
                         step_recovered = true;
                         dt *= 0.5;
                         if dt < dt_floor {
-                            recovery.dense_demotions = ws.matrix.demotions();
-                            record_global_steps(stats);
-                            record_global_recovery(recovery);
-                            record_global_solver(ws.perf);
                             return Err(CircuitError::StepSizeUnderflow { time: t, dt });
                         }
                     }
@@ -700,7 +707,7 @@ impl Transient {
             // the previous state so capacitor/FeFET currents are exact.
             newton::measure_currents(
                 circuit,
-                &vars,
+                vars,
                 &x,
                 &pinned,
                 t_next,
@@ -716,7 +723,7 @@ impl Transient {
             // Commit device state, then account energies at the new state.
             {
                 let ctx = CommitCtx {
-                    vars: &vars,
+                    vars,
                     x: &x,
                     pinned: &pinned,
                     time: t_next,
@@ -762,13 +769,6 @@ impl Transient {
             stats.accepted += 1;
         }
 
-        recovery.dense_demotions = ws.matrix.demotions();
-        record_global_steps(stats);
-        record_global_recovery(recovery);
-        record_global_solver(ws.perf);
-        res.stats = stats;
-        res.recovery = recovery;
-        res.solver = ws.perf;
         Ok(res)
     }
 }

@@ -46,11 +46,6 @@ impl VoltageSource {
     pub fn current(&self) -> f64 {
         self.committed_current
     }
-
-    /// Replaces the waveform.
-    pub fn set_waveform(&mut self, wave: Waveform) {
-        self.wave = wave;
-    }
 }
 
 impl Device for VoltageSource {

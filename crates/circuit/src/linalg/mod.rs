@@ -175,7 +175,9 @@ impl SystemMatrix {
         self.epoch
     }
 
-    /// Number of sparse→dense demotions this matrix has performed.
+    /// Number of sparse→dense demotions this matrix has performed — the
+    /// one source of `RecoveryStats::dense_demotions`, read by the owning
+    /// analysis at its exit.
     pub fn demotions(&self) -> u64 {
         self.demotions
     }
@@ -319,8 +321,8 @@ impl SystemMatrix {
 
     /// Factorises the current values, keeping them intact, and stores the
     /// factors for [`SystemMatrix::substitute`]. Falls back from sparse to
-    /// dense on a bad pivot (permanently — the demotion is counted, the
-    /// epoch bumps, and the global recovery ledger is notified).
+    /// dense on a bad pivot (permanently — the demotion is counted in
+    /// [`SystemMatrix::demotions`] and the epoch bumps).
     ///
     /// # Errors
     ///
@@ -340,7 +342,6 @@ impl SystemMatrix {
                     self.backend = Backend::Dense(dense);
                     self.epoch += 1;
                     self.demotions += 1;
-                    crate::probe::record_global_demotion();
                     result
                 }
                 Err(e) => Err(e),
@@ -361,7 +362,6 @@ impl SystemMatrix {
             self.backend = Backend::Dense(dense);
             self.epoch += 1;
             self.demotions += 1;
-            crate::probe::record_global_demotion();
         }
     }
 

@@ -2,144 +2,168 @@
 //! reports.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use serde::{Deserialize, Serialize};
 
 use crate::circuit::Circuit;
 use crate::error::CircuitError;
 use crate::node::NodeId;
 use crate::stamp::CommitCtx;
 
-/// Step-acceptance and iteration statistics of a transient run.
+/// Defines a counter family from one list of field names: a `Copy`
+/// snapshot struct of `pub u64` counters and a matching atomic ledger.
 ///
-/// Under [`crate::analysis::StepControl::Fixed`] every attempted step is
-/// either accepted or halved on Newton divergence (`rejected` stays 0);
-/// under the adaptive policy, steps whose estimated truncation error
-/// exceeds the tolerance are counted in `rejected` and retried smaller.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StepStats {
-    /// Steps accepted (device state committed, sample recorded).
-    pub accepted: u64,
-    /// Converged solves rejected by the truncation-error test.
-    pub rejected: u64,
-    /// Step halvings forced by Newton divergence.
-    pub halvings: u64,
-    /// Newton iterations across all attempts (accepted or not).
-    pub newton_iters: u64,
-}
-
-impl StepStats {
-    /// Counter-wise difference against an earlier snapshot.
-    #[must_use]
-    pub fn since(&self, earlier: &StepStats) -> StepStats {
-        StepStats {
-            accepted: self.accepted - earlier.accepted,
-            rejected: self.rejected - earlier.rejected,
-            halvings: self.halvings - earlier.halvings,
-            newton_iters: self.newton_iters - earlier.newton_iters,
+/// ```
+/// ftcam_circuit::counters! {
+///     /// Work done by some stage.
+///     pub struct Work, ledger WorkLedger {
+///         /// Items processed.
+///         items,
+///         /// Nanoseconds spent.
+///         nanos,
+///     }
+/// }
+///
+/// static LEDGER: WorkLedger = WorkLedger::new();
+/// let before = LEDGER.snapshot();
+/// LEDGER.add(Work { items: 3, nanos: 40 });
+/// assert_eq!(LEDGER.snapshot().since(&before), Work { items: 3, nanos: 40 });
+/// ```
+///
+/// The snapshot keeps the fields in the listed order and derives `Debug`,
+/// `Clone`, `Copy`, `Default`, `PartialEq`, `Eq`, `Serialize` and
+/// `Deserialize` (the calling crate needs `serde`), plus `since`
+/// (counter-wise difference), `Add`, `AddAssign` and `Sum`. The ledger has
+/// one `pub` `AtomicU64` per counter, `const fn new` (usable in a
+/// `static`), `add(snapshot)` and `snapshot()`; every access is `Relaxed`,
+/// so a snapshot taken while other threads add may mix counters from
+/// different instants.
+#[macro_export]
+macro_rules! counters {
+    // Attributes are matched as raw token trees rather than `meta`
+    // fragments, so derive macros that parse tokens by hand see ordinary
+    // `#[...]` groups.
+    (
+        $(#[$($meta:tt)*])*
+        pub struct $name:ident, ledger $ledger:ident {
+            $( $(#[$($field_meta:tt)*])* $field:ident ),+ $(,)?
         }
-    }
+    ) => {
+        $(#[$($meta)*])*
+        #[derive(
+            Debug, Clone, Copy, Default, PartialEq, Eq, ::serde::Serialize, ::serde::Deserialize,
+        )]
+        pub struct $name {
+            $( $(#[$($field_meta)*])* pub $field: u64, )+
+        }
 
-    /// Total Newton-converged solve attempts (accepted + rejected).
-    #[must_use]
-    pub fn attempts(&self) -> u64 {
-        self.accepted + self.rejected
+        impl $name {
+            /// Counter-wise difference against an earlier snapshot.
+            #[must_use]
+            pub fn since(&self, earlier: &Self) -> Self {
+                Self { $( $field: self.$field - earlier.$field, )+ }
+            }
+        }
+
+        impl ::std::ops::AddAssign for $name {
+            fn add_assign(&mut self, other: Self) {
+                $( self.$field += other.$field; )+
+            }
+        }
+
+        impl ::std::ops::Add for $name {
+            type Output = Self;
+
+            fn add(mut self, other: Self) -> Self {
+                self += other;
+                self
+            }
+        }
+
+        impl ::std::iter::Sum for $name {
+            fn sum<I: ::std::iter::Iterator<Item = Self>>(iter: I) -> Self {
+                iter.fold(Self::default(), |total, item| total + item)
+            }
+        }
+
+        #[doc = concat!("Atomic running totals of [`", stringify!($name), "`] counters.")]
+        #[derive(Debug, Default)]
+        pub struct $ledger {
+            $(
+                #[doc = concat!("Running total of `", stringify!($field), "`.")]
+                pub $field: ::std::sync::atomic::AtomicU64,
+            )+
+        }
+
+        impl $ledger {
+            /// A ledger with every counter at zero.
+            pub const fn new() -> Self {
+                Self { $( $field: ::std::sync::atomic::AtomicU64::new(0), )+ }
+            }
+
+            /// Adds every counter of `delta` to the running totals.
+            pub fn add(&self, delta: $name) {
+                $(
+                    self.$field
+                        .fetch_add(delta.$field, ::std::sync::atomic::Ordering::Relaxed);
+                )+
+            }
+
+            /// The running totals now.
+            pub fn snapshot(&self) -> $name {
+                $name {
+                    $( $field: self.$field.load(::std::sync::atomic::Ordering::Relaxed), )+
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    /// Step-acceptance and iteration statistics of a transient run.
+    ///
+    /// Under [`crate::analysis::StepControl::Fixed`] every attempted step is
+    /// either accepted or halved on Newton divergence (`rejected` stays 0);
+    /// under the adaptive policy, steps whose estimated truncation error
+    /// exceeds the tolerance are counted in `rejected` and retried smaller.
+    pub struct StepStats, ledger StepLedger {
+        /// Steps accepted (device state committed, sample recorded).
+        accepted,
+        /// Converged solves rejected by the truncation-error test.
+        rejected,
+        /// Step halvings forced by Newton divergence.
+        halvings,
+        /// Newton iterations across all attempts (accepted or not).
+        newton_iters,
     }
 }
 
-impl std::ops::AddAssign for StepStats {
-    fn add_assign(&mut self, other: Self) {
-        self.accepted += other.accepted;
-        self.rejected += other.rejected;
-        self.halvings += other.halvings;
-        self.newton_iters += other.newton_iters;
+counters! {
+    /// Recovery-ladder statistics of a transient run.
+    ///
+    /// Counts how often the transient engine had to escalate past a plain
+    /// Newton solve, and which rung of the ladder (gmin escalation → damped
+    /// Newton → step halving, see `DESIGN.md` §6) succeeded. Also counts
+    /// sparse→dense matrix demotions — technically a linear-solver fallback,
+    /// not a ladder rung, but operationally the same kind of "the solver had
+    /// to bail itself out" event. All-zero on a healthy run; nonzero counters
+    /// on a run that still produced a result mean the ladder absorbed solver
+    /// trouble.
+    pub struct RecoveryStats, ledger RecoveryLedger {
+        /// Retries that converged under an escalated `gmin` shunt.
+        gmin_retries,
+        /// Retries that converged under tightened Newton damping.
+        damped_retries,
+        /// Solves rejected because the Newton update went non-finite
+        /// (NaN/Inf), before any retry.
+        nonfinite,
+        /// Accepted steps that needed any recovery (ladder retry or halving).
+        recovered_steps,
+        /// Sparse→dense system-matrix demotions (no-pivot LU hit a bad pivot
+        /// and the analysis permanently fell back to partial-pivot dense LU).
+        dense_demotions,
     }
-}
-
-impl std::ops::Add for StepStats {
-    type Output = StepStats;
-
-    fn add(mut self, other: Self) -> StepStats {
-        self += other;
-        self
-    }
-}
-
-static GLOBAL_ACCEPTED: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_REJECTED: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_HALVINGS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_NEWTON_ITERS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide cumulative step statistics, summed over every transient
-/// run since process start.
-///
-/// Harnesses snapshot this before and after a workload and diff with
-/// [`StepStats::since`] to report solver effort without threading a
-/// counter through every layer. Counts from concurrent transients all land
-/// here, so deltas taken around a workload include any simulation running
-/// on other threads in the same interval.
-pub fn global_step_stats() -> StepStats {
-    StepStats {
-        accepted: GLOBAL_ACCEPTED.load(Ordering::Relaxed),
-        rejected: GLOBAL_REJECTED.load(Ordering::Relaxed),
-        halvings: GLOBAL_HALVINGS.load(Ordering::Relaxed),
-        newton_iters: GLOBAL_NEWTON_ITERS.load(Ordering::Relaxed),
-    }
-}
-
-pub(crate) fn record_global_steps(stats: StepStats) {
-    GLOBAL_ACCEPTED.fetch_add(stats.accepted, Ordering::Relaxed);
-    GLOBAL_REJECTED.fetch_add(stats.rejected, Ordering::Relaxed);
-    GLOBAL_HALVINGS.fetch_add(stats.halvings, Ordering::Relaxed);
-    GLOBAL_NEWTON_ITERS.fetch_add(stats.newton_iters, Ordering::Relaxed);
-}
-
-/// Recovery-ladder statistics of a transient run.
-///
-/// Counts how often the transient engine had to escalate past a plain
-/// Newton solve, and which rung of the ladder (gmin escalation → damped
-/// Newton → step halving, see `DESIGN.md` §6) succeeded. Also counts
-/// sparse→dense matrix demotions — technically a linear-solver fallback,
-/// not a ladder rung, but operationally the same kind of "the solver had
-/// to bail itself out" event. All-zero on a healthy run; nonzero counters
-/// on a run that still produced a result mean the ladder absorbed solver
-/// trouble.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RecoveryStats {
-    /// Retries that converged under an escalated `gmin` shunt.
-    pub gmin_retries: u64,
-    /// Retries that converged under tightened Newton damping.
-    pub damped_retries: u64,
-    /// Solves rejected because the Newton update went non-finite
-    /// (NaN/Inf), before any retry.
-    pub nonfinite: u64,
-    /// Accepted steps that needed any recovery (ladder retry or halving).
-    pub recovered_steps: u64,
-    /// Sparse→dense system-matrix demotions (no-pivot LU hit a bad pivot
-    /// and the analysis permanently fell back to partial-pivot dense LU).
-    pub dense_demotions: u64,
 }
 
 impl RecoveryStats {
-    /// Counter-wise difference against an earlier snapshot.
-    #[must_use]
-    pub fn since(&self, earlier: &RecoveryStats) -> RecoveryStats {
-        RecoveryStats {
-            gmin_retries: self.gmin_retries - earlier.gmin_retries,
-            damped_retries: self.damped_retries - earlier.damped_retries,
-            nonfinite: self.nonfinite - earlier.nonfinite,
-            recovered_steps: self.recovered_steps - earlier.recovered_steps,
-            dense_demotions: self.dense_demotions - earlier.dense_demotions,
-        }
-    }
-
-    /// Total ladder retries that converged (gmin + damped).
-    #[must_use]
-    pub fn retries(&self) -> u64 {
-        self.gmin_retries + self.damped_retries
-    }
-
     /// `true` if no recovery of any kind was needed.
     #[must_use]
     pub fn is_clean(&self) -> bool {
@@ -147,114 +171,44 @@ impl RecoveryStats {
     }
 }
 
-impl std::ops::AddAssign for RecoveryStats {
-    fn add_assign(&mut self, other: Self) {
-        self.gmin_retries += other.gmin_retries;
-        self.damped_retries += other.damped_retries;
-        self.nonfinite += other.nonfinite;
-        self.recovered_steps += other.recovered_steps;
-        self.dense_demotions += other.dense_demotions;
+counters! {
+    /// Hot-path solver counters of the incremental-assembly Newton loop.
+    ///
+    /// Where [`StepStats`] counts *what* the time-stepping engine did,
+    /// `SolverPerf` counts *how cheaply* each Newton iteration was served:
+    /// how many LU factorisations were actually computed versus how many
+    /// triangular substitutions were performed against stored factors (chord
+    /// Newton and per-step LU reuse make `substitutions > factorizations`),
+    /// how often per-`(time, dt)` baseline snapshots of the static devices
+    /// were reused instead of restamped, and how often slot-resolved stamp
+    /// tapes replaced hash-path assembly. With
+    /// [`crate::analysis::HotPath::legacy`] the bypass and tape counters stay
+    /// zero and every substitution has its own factorisation.
+    pub struct SolverPerf, ledger SolverLedger {
+        /// Numeric LU factorisations computed.
+        factorizations,
+        /// Triangular substitutions (every linear solve performs one; a solve
+        /// served from stored factors performs *only* this).
+        substitutions,
+        /// Newton iterations solved against frozen factors (chord iterations
+        /// plus whole-step LU bypasses).
+        lu_bypasses,
+        /// Static-device baseline snapshots taken (one per `(time, dt,
+        /// method)` point, plus one per matrix structure change).
+        baseline_snapshots,
+        /// Newton iterations that started from a baseline restore instead of
+        /// a full restamp.
+        baseline_reuses,
+        /// Assembly passes served by tape replay (pure `values[slot] += v`
+        /// writes, zero hashing).
+        tape_replays,
+        /// Tape replays abandoned mid-pass because the write pattern diverged
+        /// from the recording (the pass degrades to hash adds and re-records).
+        tape_mismatches,
     }
-}
-
-impl std::ops::Add for RecoveryStats {
-    type Output = RecoveryStats;
-
-    fn add(mut self, other: Self) -> RecoveryStats {
-        self += other;
-        self
-    }
-}
-
-static GLOBAL_GMIN_RETRIES: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_DAMPED_RETRIES: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_NONFINITE: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_RECOVERED_STEPS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_DENSE_DEMOTIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide cumulative recovery statistics, summed over every
-/// transient run since process start — the [`RecoveryStats`] counterpart
-/// of [`global_step_stats`], with the same snapshot-and-diff usage.
-pub fn global_recovery_stats() -> RecoveryStats {
-    RecoveryStats {
-        gmin_retries: GLOBAL_GMIN_RETRIES.load(Ordering::Relaxed),
-        damped_retries: GLOBAL_DAMPED_RETRIES.load(Ordering::Relaxed),
-        nonfinite: GLOBAL_NONFINITE.load(Ordering::Relaxed),
-        recovered_steps: GLOBAL_RECOVERED_STEPS.load(Ordering::Relaxed),
-        dense_demotions: GLOBAL_DENSE_DEMOTIONS.load(Ordering::Relaxed),
-    }
-}
-
-/// Adds a transient run's ladder counters to the process-wide ledger.
-///
-/// `dense_demotions` is deliberately *not* added here: demotions are
-/// recorded at the fallback site itself ([`record_global_demotion`]),
-/// because they can also happen outside any transient run (DC operating
-/// point) and must never be double-counted.
-pub(crate) fn record_global_recovery(stats: RecoveryStats) {
-    GLOBAL_GMIN_RETRIES.fetch_add(stats.gmin_retries, Ordering::Relaxed);
-    GLOBAL_DAMPED_RETRIES.fetch_add(stats.damped_retries, Ordering::Relaxed);
-    GLOBAL_NONFINITE.fetch_add(stats.nonfinite, Ordering::Relaxed);
-    GLOBAL_RECOVERED_STEPS.fetch_add(stats.recovered_steps, Ordering::Relaxed);
-}
-
-/// Records one sparse→dense system-matrix demotion. Called from the
-/// fallback site in [`crate::linalg::SystemMatrix::factor`].
-pub(crate) fn record_global_demotion() {
-    GLOBAL_DENSE_DEMOTIONS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Hot-path solver counters of the incremental-assembly Newton loop.
-///
-/// Where [`StepStats`] counts *what* the time-stepping engine did,
-/// `SolverPerf` counts *how cheaply* each Newton iteration was served:
-/// how many LU factorisations were actually computed versus how many
-/// triangular substitutions were performed against stored factors (chord
-/// Newton and per-step LU reuse make `substitutions > factorizations`),
-/// how often per-`(time, dt)` baseline snapshots of the static devices
-/// were reused instead of restamped, and how often slot-resolved stamp
-/// tapes replaced hash-path assembly. With
-/// [`crate::analysis::HotPath::legacy`] the bypass and tape counters stay
-/// zero and every substitution has its own factorisation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SolverPerf {
-    /// Numeric LU factorisations computed.
-    pub factorizations: u64,
-    /// Triangular substitutions (every linear solve performs one; a solve
-    /// served from stored factors performs *only* this).
-    pub substitutions: u64,
-    /// Newton iterations solved against frozen factors (chord iterations
-    /// plus whole-step LU bypasses).
-    pub lu_bypasses: u64,
-    /// Static-device baseline snapshots taken (one per `(time, dt,
-    /// method)` point, plus one per matrix structure change).
-    pub baseline_snapshots: u64,
-    /// Newton iterations that started from a baseline restore instead of
-    /// a full restamp.
-    pub baseline_reuses: u64,
-    /// Assembly passes served by tape replay (pure `values[slot] += v`
-    /// writes, zero hashing).
-    pub tape_replays: u64,
-    /// Tape replays abandoned mid-pass because the write pattern diverged
-    /// from the recording (the pass degrades to hash adds and re-records).
-    pub tape_mismatches: u64,
 }
 
 impl SolverPerf {
-    /// Counter-wise difference against an earlier snapshot.
-    #[must_use]
-    pub fn since(&self, earlier: &SolverPerf) -> SolverPerf {
-        SolverPerf {
-            factorizations: self.factorizations - earlier.factorizations,
-            substitutions: self.substitutions - earlier.substitutions,
-            lu_bypasses: self.lu_bypasses - earlier.lu_bypasses,
-            baseline_snapshots: self.baseline_snapshots - earlier.baseline_snapshots,
-            baseline_reuses: self.baseline_reuses - earlier.baseline_reuses,
-            tape_replays: self.tape_replays - earlier.tape_replays,
-            tape_mismatches: self.tape_mismatches - earlier.tape_mismatches,
-        }
-    }
-
     /// Fraction of linear solves served without a fresh factorisation
     /// (`lu_bypasses / substitutions`); 0.0 when nothing was solved.
     #[must_use]
@@ -267,58 +221,38 @@ impl SolverPerf {
     }
 }
 
-impl std::ops::AddAssign for SolverPerf {
-    fn add_assign(&mut self, other: Self) {
-        self.factorizations += other.factorizations;
-        self.substitutions += other.substitutions;
-        self.lu_bypasses += other.lu_bypasses;
-        self.baseline_snapshots += other.baseline_snapshots;
-        self.baseline_reuses += other.baseline_reuses;
-        self.tape_replays += other.tape_replays;
-        self.tape_mismatches += other.tape_mismatches;
-    }
+// Process-wide totals of every analysis since process start. Each
+// analysis adds its counters once, at its exit (error exits included);
+// dense demotions are added from the analysis's own matrix there, so a
+// demotion is counted exactly once.
+pub(crate) static STEPS: StepLedger = StepLedger::new();
+pub(crate) static RECOVERY: RecoveryLedger = RecoveryLedger::new();
+pub(crate) static SOLVER: SolverLedger = SolverLedger::new();
+
+/// Process-wide cumulative step statistics, summed over every transient
+/// run since process start.
+///
+/// Harnesses snapshot this before and after a workload and diff with
+/// [`StepStats::since`] to report solver effort without threading a
+/// counter through every layer. Counts from concurrent transients all land
+/// here, so deltas taken around a workload include any simulation running
+/// on other threads in the same interval.
+pub fn global_step_stats() -> StepStats {
+    STEPS.snapshot()
 }
 
-impl std::ops::Add for SolverPerf {
-    type Output = SolverPerf;
-
-    fn add(mut self, other: Self) -> SolverPerf {
-        self += other;
-        self
-    }
-}
-
-static GLOBAL_FACTORIZATIONS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_SUBSTITUTIONS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_LU_BYPASSES: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_BASELINE_SNAPSHOTS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_BASELINE_REUSES: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_TAPE_REPLAYS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_TAPE_MISMATCHES: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide cumulative solver hot-path counters — the [`SolverPerf`]
+/// Process-wide cumulative recovery statistics — the [`RecoveryStats`]
 /// counterpart of [`global_step_stats`], with the same snapshot-and-diff
-/// usage.
-pub fn global_solver_stats() -> SolverPerf {
-    SolverPerf {
-        factorizations: GLOBAL_FACTORIZATIONS.load(Ordering::Relaxed),
-        substitutions: GLOBAL_SUBSTITUTIONS.load(Ordering::Relaxed),
-        lu_bypasses: GLOBAL_LU_BYPASSES.load(Ordering::Relaxed),
-        baseline_snapshots: GLOBAL_BASELINE_SNAPSHOTS.load(Ordering::Relaxed),
-        baseline_reuses: GLOBAL_BASELINE_REUSES.load(Ordering::Relaxed),
-        tape_replays: GLOBAL_TAPE_REPLAYS.load(Ordering::Relaxed),
-        tape_mismatches: GLOBAL_TAPE_MISMATCHES.load(Ordering::Relaxed),
-    }
+/// usage. Dense demotions include those of DC operating points.
+pub fn global_recovery_stats() -> RecoveryStats {
+    RECOVERY.snapshot()
 }
 
-pub(crate) fn record_global_solver(stats: SolverPerf) {
-    GLOBAL_FACTORIZATIONS.fetch_add(stats.factorizations, Ordering::Relaxed);
-    GLOBAL_SUBSTITUTIONS.fetch_add(stats.substitutions, Ordering::Relaxed);
-    GLOBAL_LU_BYPASSES.fetch_add(stats.lu_bypasses, Ordering::Relaxed);
-    GLOBAL_BASELINE_SNAPSHOTS.fetch_add(stats.baseline_snapshots, Ordering::Relaxed);
-    GLOBAL_BASELINE_REUSES.fetch_add(stats.baseline_reuses, Ordering::Relaxed);
-    GLOBAL_TAPE_REPLAYS.fetch_add(stats.tape_replays, Ordering::Relaxed);
-    GLOBAL_TAPE_MISMATCHES.fetch_add(stats.tape_mismatches, Ordering::Relaxed);
+/// Process-wide cumulative solver hot-path counters (transient and DC) —
+/// the [`SolverPerf`] counterpart of [`global_step_stats`], with the same
+/// snapshot-and-diff usage.
+pub fn global_solver_stats() -> SolverPerf {
+    SOLVER.snapshot()
 }
 
 /// Signal edge direction for threshold-crossing measurements.
@@ -549,22 +483,6 @@ impl TransientResult {
         &self.times
     }
 
-    /// Number of accepted steps.
-    pub fn steps(&self) -> usize {
-        self.stats.accepted as usize
-    }
-
-    /// Converged solves rejected by the adaptive truncation-error test
-    /// (always 0 under fixed stepping).
-    pub fn rejected_steps(&self) -> usize {
-        self.stats.rejected as usize
-    }
-
-    /// Total Newton iterations across the run.
-    pub fn newton_iterations(&self) -> usize {
-        self.stats.newton_iters as usize
-    }
-
     /// The full step-acceptance and iteration statistics of the run.
     pub fn step_stats(&self) -> StepStats {
         self.stats
@@ -602,24 +520,6 @@ impl TransientResult {
             times: &self.times,
             values: &self.voltages[k],
             name,
-        })
-    }
-
-    /// Voltage trace of a recorded node, by id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::UnknownTrace`] if the node was not recorded.
-    pub fn trace_of(&self, node: NodeId) -> Result<Trace<'_>, CircuitError> {
-        let k = self
-            .node_ids
-            .iter()
-            .position(|&n| n == node)
-            .ok_or_else(|| CircuitError::UnknownTrace(node.to_string()))?;
-        Ok(Trace {
-            times: &self.times,
-            values: &self.voltages[k],
-            name: "",
         })
     }
 
@@ -724,6 +624,90 @@ mod tests {
         assert_eq!(tr.min_in(0.25, 0.75), 0.5);
         assert_eq!(tr.max(), 2.0);
         assert_eq!(tr.min(), 0.0);
+    }
+
+    crate::counters! {
+        /// A test-local counter family.
+        pub struct Tally, ledger TallyLedger {
+            /// First counter.
+            alpha,
+            /// Second counter.
+            beta,
+            /// Third counter.
+            gamma,
+        }
+    }
+
+    fn tally(alpha: u64, beta: u64, gamma: u64) -> Tally {
+        Tally { alpha, beta, gamma }
+    }
+
+    #[test]
+    fn counters_since_undoes_add() {
+        let (a, b) = (tally(1, 20, 300), tally(4, 0, 7));
+        assert_eq!((a + b).since(&a), b);
+    }
+
+    #[test]
+    fn counters_ledger_round_trips() {
+        let ledger = TallyLedger::new();
+        assert_eq!(ledger.snapshot(), Tally::default());
+        let delta = tally(2, 3, 5);
+        ledger.add(delta);
+        assert_eq!(ledger.snapshot(), delta);
+        ledger.add(delta);
+        assert_eq!(ledger.snapshot(), delta + delta);
+    }
+
+    #[test]
+    fn counters_sum_equals_repeated_add_assign() {
+        let records: Vec<Tally> = (0..5).map(|k| tally(k, k * k, 10 - k)).collect();
+        let mut total = Tally::default();
+        for r in &records {
+            total += *r;
+        }
+        assert_eq!(records.into_iter().sum::<Tally>(), total);
+    }
+
+    fn field_names<T: serde::Serialize>(value: &T) -> Vec<String> {
+        let v = value.to_value();
+        let map = v.as_map().expect("counters serialise as a map");
+        map.iter().map(|(k, _)| k.clone()).collect()
+    }
+
+    #[test]
+    fn counters_serialise_fields_in_declared_order() {
+        let t = tally(1, 2, 3);
+        assert_eq!(field_names(&t), ["alpha", "beta", "gamma"]);
+        let back: Tally = serde::Deserialize::from_value(&serde::Serialize::to_value(&t)).unwrap();
+        assert_eq!(back, t);
+        // The simulator families keep their pre-macro wire format.
+        assert_eq!(
+            field_names(&StepStats::default()),
+            ["accepted", "rejected", "halvings", "newton_iters"]
+        );
+        assert_eq!(
+            field_names(&RecoveryStats::default()),
+            [
+                "gmin_retries",
+                "damped_retries",
+                "nonfinite",
+                "recovered_steps",
+                "dense_demotions"
+            ]
+        );
+        assert_eq!(
+            field_names(&SolverPerf::default()),
+            [
+                "factorizations",
+                "substitutions",
+                "lu_bypasses",
+                "baseline_snapshots",
+                "baseline_reuses",
+                "tape_replays",
+                "tape_mismatches"
+            ]
+        );
     }
 
     #[test]

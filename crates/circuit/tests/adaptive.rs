@@ -61,12 +61,12 @@ fn adaptive_matches_fixed_energy_within_one_percent_with_fewer_steps() {
 
     // The headline claim: well over 2× fewer accepted steps.
     assert!(
-        adaptive.steps() * 2 <= fixed.steps(),
+        adaptive.step_stats().accepted * 2 <= fixed.step_stats().accepted,
         "adaptive {} vs fixed {} accepted steps",
-        adaptive.steps(),
-        fixed.steps()
+        adaptive.step_stats().accepted,
+        fixed.step_stats().accepted
     );
-    assert_eq!(fixed.rejected_steps(), 0);
+    assert_eq!(fixed.step_stats().rejected, 0);
 }
 
 /// Zero-stamp device that counts `commit` calls: proves rejected steps
@@ -114,12 +114,12 @@ fn rejected_steps_never_commit_device_state() {
     let res = Transient::new(opts).run(&mut ckt).unwrap();
 
     assert!(
-        res.rejected_steps() > 0,
+        res.step_stats().rejected > 0,
         "diode turn-on should reject at least one grown step"
     );
     assert_eq!(
         commits.load(Ordering::Relaxed),
-        res.steps() as u64,
+        res.step_stats().accepted,
         "every accepted step commits exactly once; rejected steps never do"
     );
 }
@@ -167,7 +167,7 @@ fn newton_settings_builder_reaches_the_solver() {
     assert_eq!(loose.max_iters, 40);
     let opts = TransientOpts::new(10e-12, 2e-9).with_newton(loose);
     let res = Transient::new(opts).run(&mut ckt).unwrap();
-    assert!(res.newton_iterations() > 0);
+    assert!(res.step_stats().newton_iters > 0);
 
     // Defaults are unchanged by the builder redesign.
     let d = NewtonSettings::default();

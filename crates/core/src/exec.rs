@@ -14,7 +14,7 @@
 //! counters) into an [`ExecStats`] attached to each emitted artifact.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -55,52 +55,18 @@ impl<E: std::fmt::Display> std::fmt::Display for ItemError<E> {
 
 impl<E: std::fmt::Display + std::fmt::Debug> std::error::Error for ItemError<E> {}
 
-/// Shared accumulating counters for one [`Executor`] (usually owned by the
-/// `Evaluator` and shared by every executor it hands out).
-#[derive(Debug, Default)]
-pub struct ExecCounters {
-    jobs: AtomicU64,
-    run_nanos: AtomicU64,
-    assemble_nanos: AtomicU64,
-}
-
-impl ExecCounters {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A point-in-time snapshot `(jobs, run_nanos, assemble_nanos)`.
-    pub fn snapshot(&self) -> ExecSnapshot {
-        ExecSnapshot {
-            jobs: self.jobs.load(Ordering::Relaxed),
-            run_nanos: self.run_nanos.load(Ordering::Relaxed),
-            assemble_nanos: self.assemble_nanos.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time snapshot of [`ExecCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct ExecSnapshot {
-    /// Jobs executed.
-    pub jobs: u64,
-    /// Wall-clock nanoseconds spent in the fan-out phase (serial path
-    /// included).
-    pub run_nanos: u64,
-    /// Wall-clock nanoseconds spent assembling results in item order.
-    pub assemble_nanos: u64,
-}
-
-impl ExecSnapshot {
-    /// Counter-wise difference against an earlier snapshot.
-    #[must_use]
-    pub fn since(&self, earlier: &ExecSnapshot) -> ExecSnapshot {
-        ExecSnapshot {
-            jobs: self.jobs - earlier.jobs,
-            run_nanos: self.run_nanos - earlier.run_nanos,
-            assemble_nanos: self.assemble_nanos - earlier.assemble_nanos,
-        }
+ftcam_circuit::counters! {
+    /// A point-in-time snapshot of [`ExecCounters`], the shared
+    /// accumulating counters of one [`Executor`] (usually owned by the
+    /// `Evaluator` and shared by every executor it hands out).
+    pub struct ExecSnapshot, ledger ExecCounters {
+        /// Jobs executed.
+        jobs,
+        /// Wall-clock nanoseconds spent in the fan-out phase (serial path
+        /// included).
+        run_nanos,
+        /// Wall-clock nanoseconds spent assembling results in item order.
+        assemble_nanos,
     }
 }
 
@@ -256,20 +222,18 @@ impl Executor {
             })
             .expect("executor worker panicked");
         }
-        self.counters.jobs.fetch_add(n as u64, Ordering::Relaxed);
-        self.counters
-            .run_nanos
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let run_nanos = started.elapsed().as_nanos() as u64;
 
         let assemble_started = Instant::now();
         let out: Vec<Result<R, ItemError<E>>> = slots
             .into_iter()
             .map(|slot| slot.into_inner().expect("every claimed slot is filled"))
             .collect();
-        self.counters.assemble_nanos.fetch_add(
-            assemble_started.elapsed().as_nanos() as u64,
-            Ordering::Relaxed,
-        );
+        self.counters.add(ExecSnapshot {
+            jobs: n as u64,
+            run_nanos,
+            assemble_nanos: assemble_started.elapsed().as_nanos() as u64,
+        });
         out
     }
 

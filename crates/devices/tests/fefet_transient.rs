@@ -149,7 +149,7 @@ fn adaptive_write_matches_fixed_energy_within_one_percent() {
             fefet.polarization(),
             fefet.switching_energy(),
             res.supply_energy("GATE").unwrap(),
-            res.steps(),
+            res.step_stats().accepted,
         )
     };
     let (pf, swf, gf, nf) = run_write(StepControl::Fixed);

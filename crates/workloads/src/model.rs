@@ -73,16 +73,6 @@ impl TcamTable {
         &self.rows
     }
 
-    /// Replaces the row at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds or the width differs.
-    pub fn set_row(&mut self, index: usize, word: TernaryWord) {
-        assert_eq!(word.width(), self.width, "row width mismatch");
-        self.rows[index] = word;
-    }
-
     /// Highest-priority (lowest index) matching row, if any.
     pub fn search(&self, query: &TernaryWord) -> Option<usize> {
         self.rows.iter().position(|row| row.matches(query))

@@ -175,6 +175,18 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     }
 }
 
+impl Serialize for Value {
+    fn to_value(&self) -> Value {
+        self.clone()
+    }
+}
+
+impl Deserialize for Value {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        Ok(v.clone())
+    }
+}
+
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)

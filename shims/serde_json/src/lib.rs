@@ -1,5 +1,6 @@
 //! Offline shim for the `serde_json` subset used by this workspace:
-//! [`to_string`], [`to_string_pretty`], and [`from_str`].
+//! [`Value`], [`to_value`], [`to_string`], [`to_string_pretty`], and
+//! [`from_str`].
 //!
 //! Serialisation renders the serde shim's `Value` tree; parsing is a plain
 //! recursive-descent JSON reader. Matching upstream semantics, non-finite
@@ -7,12 +8,21 @@
 
 #![forbid(unsafe_code)]
 
-use serde::{Deserialize, Number, Serialize, Value};
+use serde::{Deserialize, Number, Serialize};
 
-pub use serde::Error;
+pub use serde::{Error, Value};
 
 /// A JSON result.
 pub type Result<T> = std::result::Result<T, Error>;
+
+/// Renders a value into a [`Value`] tree.
+///
+/// # Errors
+///
+/// Infallible for tree-backed values; kept fallible for API parity.
+pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value> {
+    Ok(value.to_value())
+}
 
 /// Serialises a value to compact JSON.
 ///
