@@ -50,6 +50,7 @@ mod arraytb;
 mod design;
 mod designs;
 mod error;
+mod fold;
 mod geometry;
 mod mcam;
 mod row;

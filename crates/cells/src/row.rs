@@ -131,7 +131,7 @@ impl RowTestbench {
 
     /// Number of free unknowns in the underlying netlist (diagnostics).
     pub fn node_count(&self) -> usize {
-        self.tb.ckt.node_count()
+        self.tb.net.ckt.node_count()
     }
 
     /// Programs the stored word instantly (ideal write).
@@ -197,7 +197,7 @@ impl RowTestbench {
         rtz: bool,
         timing: &SearchTiming,
     ) -> Result<(SearchOutcome, Vec<MlTrace>), CellError> {
-        let segments = self.tb.ml_nodes.len();
+        let segments = self.tb.net.ml_nodes.len();
         let mut stages = Vec::with_capacity(segments);
         let mut traces = Vec::with_capacity(segments);
         let mut energy_ml = 0.0;
@@ -328,18 +328,20 @@ impl RowTestbench {
         let e = timing.edge;
 
         // Clamp MLs, enable footers, idle precharge.
-        if let Some(wen) = self.tb.wen_pin {
+        if let Some(wen) = self.tb.net.wen_pin {
             self.tb
+                .net
                 .ckt
                 .set_pin_waveform(wen, Waveform::dc(self.tb.card.vdd));
         }
-        if let Some(en) = self.tb.en_pin {
+        if let Some(en) = self.tb.net.en_pin {
             self.tb
+                .net
                 .ckt
                 .set_pin_waveform(en, Waveform::dc(self.tb.card.vdd));
         }
-        for pin in &self.tb.pre_pins {
-            self.tb.ckt.set_pin_waveform(
+        for pin in &self.tb.net.pre_pins {
+            self.tb.net.ckt.set_pin_waveform(
                 *pin,
                 Waveform::dc(self.tb.precharge.off_level(self.tb.card.vdd)),
             );
@@ -351,6 +353,7 @@ impl RowTestbench {
             .iter()
             .map(|&d| {
                 self.tb
+                    .net
                     .ckt
                     .device_ref::<FeFet>(d)
                     .expect("fefet design")
@@ -382,11 +385,13 @@ impl RowTestbench {
                 Waveform::pwl(pts)
             };
             self.tb
+                .net
                 .ckt
-                .set_pin_waveform(self.tb.sl_pins[i].0, make(program_sl));
+                .set_pin_waveform(self.tb.net.sl_pins[i].0, make(program_sl));
             self.tb
+                .net
                 .ckt
-                .set_pin_waveform(self.tb.sl_pins[i].1, make(program_slb));
+                .set_pin_waveform(self.tb.net.sl_pins[i].1, make(program_slb));
         }
 
         let opts = TransientOpts::new(timing.dt, t_total)
@@ -398,11 +403,12 @@ impl RowTestbench {
         // Collect outcomes.
         let mut polarizations = Vec::with_capacity(2 * self.tb.width);
         let mut programmed_ok = true;
-        for (i, handle) in self.tb.cells.iter().enumerate() {
+        for (i, handle) in self.tb.net.cells.iter().enumerate() {
             let (want1, want2) = crate::designs::FeFet2T::polarizations(word.get(i));
             for (slot, want) in [(0usize, want1), (1, want2)] {
                 let p = self
                     .tb
+                    .net
                     .ckt
                     .device_ref::<FeFet>(handle.devices[slot])
                     .expect("fefet design")
@@ -418,6 +424,7 @@ impl RowTestbench {
             .iter()
             .map(|&d| {
                 self.tb
+                    .net
                     .ckt
                     .device_ref::<FeFet>(d)
                     .expect("fefet design")
@@ -445,7 +452,7 @@ impl RowTestbench {
         let devices = self.fefet_devices();
         for (j, &dev) in devices.iter().enumerate() {
             let delta = deltas.get(j).copied().unwrap_or(0.0);
-            if let Some(fefet) = self.tb.ckt.device_mut::<FeFet>(dev) {
+            if let Some(fefet) = self.tb.net.ckt.device_mut::<FeFet>(dev) {
                 // ΔV_th = −Δp·MW/2 → Δp = −2·ΔV_th/MW.
                 let mw = fefet.params().memory_window;
                 let p = fefet.polarization();
@@ -462,6 +469,7 @@ impl RowTestbench {
             return Vec::new();
         }
         self.tb
+            .net
             .cells
             .iter()
             .flat_map(|h| h.devices.iter().copied())
@@ -503,6 +511,7 @@ impl RowTestbench {
         }
         for (&dev, &p) in devices.iter().zip(polarizations) {
             self.tb
+                .net
                 .ckt
                 .device_mut::<FeFet>(dev)
                 .expect("fefet design")
@@ -538,11 +547,27 @@ impl RowTestbench {
         self.search_levels(&levels, true, timing).map(|(o, _)| o)
     }
 
+    /// The same row with folding off: every transient runs on the
+    /// unfolded record netlist (the reference folded runs are tested
+    /// against).
+    #[cfg(test)]
+    pub(crate) fn unfolded(mut self) -> Self {
+        self.tb.fold = false;
+        self
+    }
+
+    /// `true` when the next transient, with the waveforms as they stand,
+    /// would run folded.
+    #[cfg(test)]
+    pub(crate) fn would_fold(&self) -> bool {
+        self.tb.partition().is_some()
+    }
+
     /// Exports the full testbench netlist as a SPICE deck (for inspection
     /// or cross-checking in an external simulator).
     pub fn to_spice(&self) -> String {
         ftcam_circuit::export_spice(
-            &self.tb.ckt,
+            &self.tb.net.ckt,
             &format!(
                 "{} TCAM row, {} cells",
                 self.tb.design.name(),

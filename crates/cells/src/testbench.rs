@@ -8,7 +8,8 @@ use ftcam_circuit::analysis::{Transient, TransientOpts};
 use ftcam_circuit::elements::{Capacitor, Resistor};
 use ftcam_circuit::waveform::Waveform;
 use ftcam_circuit::{
-    Circuit, NewtonSettings, NodeId, PinId, RecoveryStats, SolverPerf, StepStats, TransientResult,
+    Circuit, DeviceId, NewtonSettings, NodeId, PinId, RecoveryStats, SolverPerf, StepStats,
+    TransientResult,
 };
 use ftcam_devices::{Mosfet, MosfetParams, Polarity, TechCard};
 use ftcam_workloads::TernaryWord;
@@ -47,7 +48,32 @@ impl PrechargeKind {
     }
 }
 
-/// A transistor-level `rows × width` TCAM netlist with its solver state.
+/// One built circuit with handles to its parts.
+///
+/// The record netlist builds every column. A folded netlist builds one
+/// representative column group per class, each standing for the whole
+/// class (see `crate::fold`).
+#[derive(Debug, Default)]
+pub(crate) struct Netlist {
+    pub ckt: Circuit,
+    /// The columns built, in build order: every column, in order, for the
+    /// record netlist.
+    pub columns: Vec<usize>,
+    /// Cell handles in site order: row-major over `columns`.
+    pub cells: Vec<CellHandle>,
+    /// SL and SLB driver pins of each built column.
+    pub sl_pins: Vec<(PinId, PinId)>,
+    /// SL and SLB wire capacitors of each built column.
+    pub sl_caps: Vec<(DeviceId, DeviceId)>,
+    pub ml_nodes: Vec<NodeId>,
+    /// Wire capacitor of each match line.
+    pub ml_caps: Vec<DeviceId>,
+    pub pre_pins: Vec<PinId>,
+    pub en_pin: Option<PinId>,
+    pub wen_pin: Option<PinId>,
+}
+
+/// A transistor-level `rows × width` TCAM testbench with its solver state.
 ///
 /// Every row has `segments` match lines; match line `m` belongs to row
 /// `m / segments` and segment `m % segments`. Cell sites are numbered
@@ -55,22 +81,23 @@ impl PrechargeKind {
 /// row.
 #[derive(Debug)]
 pub(crate) struct Testbench {
-    pub ckt: Circuit,
+    /// The unfolded netlist: the state of record between transients and
+    /// the description of the row.
+    pub net: Netlist,
     pub design: Box<dyn CellDesign>,
     pub card: TechCard,
     pub geometry: Geometry,
+    pub rows: usize,
     pub width: usize,
-    /// Cell handles in site order.
-    pub cells: Vec<CellHandle>,
-    pub sl_pins: Vec<(PinId, PinId)>,
-    pub ml_nodes: Vec<NodeId>,
     pub ml_names: Vec<String>,
-    pub pre_pins: Vec<PinId>,
     pub precharge: PrechargeKind,
-    pub en_pin: Option<PinId>,
-    pub wen_pin: Option<PinId>,
     pub segment_of_column: Vec<usize>,
     pub segment_columns: Vec<Vec<usize>>,
+    /// The units of folding, in column order: one footer group each for
+    /// shared-footer designs, one column each otherwise.
+    pub groups: Vec<Vec<usize>>,
+    /// `false` runs every transient on the record netlist, unfolded.
+    pub fold: bool,
     pub step_stats: StepStats,
     pub recovery_stats: RecoveryStats,
     pub solver_perf: SolverPerf,
@@ -78,12 +105,8 @@ pub(crate) struct Testbench {
 }
 
 impl Testbench {
-    /// Builds the netlist for `rows × width` cells of the given design,
+    /// Builds the testbench for `rows × width` cells of the given design,
     /// each row split into the design's match-line segments.
-    ///
-    /// Creation order: write-enable pin, match lines (wire cap, precharge
-    /// rail, clock, device, write clamp), search-enable pin, search lines,
-    /// footers, cells.
     pub fn build(
         design: Box<dyn CellDesign>,
         card: TechCard,
@@ -93,15 +116,11 @@ impl Testbench {
     ) -> Result<Self, CellError> {
         let features = design.features();
         let segments = features.segments.clamp(1, width);
-        let v_pre = design.ml_precharge_voltage(&card);
-        let precharge = if v_pre >= 0.7 * card.vdd {
+        let precharge = if design.ml_precharge_voltage(&card) >= 0.7 * card.vdd {
             PrechargeKind::Pmos
         } else {
             PrechargeKind::Nmos
         };
-
-        let mut ckt = Circuit::new();
-        let area_f2 = design.area_f2();
 
         // Segment partition: balanced, first segments take the remainder.
         let mut segment_columns: Vec<Vec<usize>> = vec![Vec::new(); segments];
@@ -119,30 +138,74 @@ impl Testbench {
                 }
             }
         }
+        // Footer groups: adjacent columns within a segment.
+        let groups = match features.footer {
+            FooterStyle::None => (0..width).map(|c| vec![c]).collect(),
+            FooterStyle::SharedPerGroup(group) => segment_columns
+                .iter()
+                .flat_map(|columns| columns.chunks(group.max(1)).map(<[usize]>::to_vec))
+                .collect(),
+        };
+
+        let mut tb = Self {
+            net: Netlist::default(),
+            design,
+            card,
+            geometry,
+            rows,
+            width,
+            ml_names: (0..rows * segments).map(|m| format!("ml{m}")).collect(),
+            precharge,
+            segment_of_column,
+            segment_columns,
+            groups,
+            fold: true,
+            step_stats: StepStats::default(),
+            recovery_stats: RecoveryStats::default(),
+            solver_perf: SolverPerf::default(),
+            newton: NewtonSettings::default(),
+        };
+        let every_group: Vec<(usize, f64)> = (0..tb.groups.len()).map(|g| (g, 1.0)).collect();
+        tb.net = tb.netlist(&every_group)?;
+        Ok(tb)
+    }
+
+    /// Builds a netlist holding the column groups `units`, given as
+    /// `(group, multiplicity)`: each group's search lines, footers and
+    /// cells stand for `multiplicity` identical groups.
+    ///
+    /// Creation order: write-enable pin, match lines (wire cap, precharge
+    /// rail, clock, device, write clamp), search-enable pin, search lines,
+    /// footers, cells.
+    pub fn netlist(&self, units: &[(usize, f64)]) -> Result<Netlist, CellError> {
+        let (design, card, geometry) = (self.design.as_ref(), &self.card, &self.geometry);
+        let (rows, segments) = (self.rows, self.segment_columns.len());
+        let precharge = self.precharge;
+        let v_pre = design.ml_precharge_voltage(card);
+        let mut ckt = Circuit::new();
+        let area_f2 = design.area_f2();
 
         // Per match line: wire cap, precharge device, write clamp.
         let n_ml = rows * segments;
         let mut ml_nodes = Vec::with_capacity(n_ml);
-        let mut ml_names = Vec::with_capacity(n_ml);
+        let mut ml_caps = Vec::with_capacity(n_ml);
         let mut pre_pins = Vec::with_capacity(n_ml);
         let wen = design.supports_transient_write().then(|| {
             let wen_node = ckt.node("wen");
             ckt.pin(wen_node, "WEN", Waveform::dc(0.0))
                 .expect("fresh node")
         });
-        for m in 0..n_ml {
-            let ml_name = format!("ml{m}");
-            let ml = ckt.node(&ml_name);
+        for (m, ml_name) in self.ml_names.iter().enumerate() {
+            let ml = ckt.node(ml_name);
             ml_nodes.push(ml);
-            ml_names.push(ml_name);
-            ckt.add_labeled(
+            ml_caps.push(ckt.add_labeled(
                 format!("c_ml_wire{m}"),
                 Capacitor::new(
                     ml,
                     ckt.ground(),
-                    geometry.ml_wire_cap(area_f2, segment_columns[m % segments].len()),
+                    geometry.ml_wire_cap(area_f2, self.segment_columns[m % segments].len()),
                 ),
-            );
+            ));
             // Precharge rail + device + clock pin.
             let rail = ckt.node(&format!("vpre{m}"));
             ckt.pin(rail, format!("VPRE{m}"), Waveform::dc(v_pre))
@@ -166,7 +229,7 @@ impl Testbench {
             ckt.add_labeled(format!("m_pre{m}"), Mosfet::new(pre_params, rail, clk, ml));
             if wen.is_some() {
                 let wen_node = ckt.node("wen");
-                let clamp = clamp_params(&card, &geometry);
+                let clamp = clamp_params(card, geometry);
                 ckt.add_labeled(
                     format!("m_wclamp{m}"),
                     Mosfet::new(clamp, ml, wen_node, ckt.ground()),
@@ -175,7 +238,8 @@ impl Testbench {
         }
 
         // Search-enable rail for gated-footer designs.
-        let en_pin = match features.footer {
+        let footer = design.features().footer;
+        let en_pin = match footer {
             FooterStyle::None => None,
             FooterStyle::SharedPerGroup(_) => {
                 let en_node = ckt.node("en");
@@ -186,13 +250,22 @@ impl Testbench {
             }
         };
 
+        // The built columns, each with its unit's multiplicity.
+        let (columns, mults): (Vec<usize>, Vec<f64>) = units
+            .iter()
+            .flat_map(|&(g, m)| self.groups[g].iter().map(move |&c| (c, m)))
+            .unzip();
+        let nb = columns.len();
+
         // Columns: SL driver pin → driver resistance → SL node. The wire
         // crosses every row, each contributing its share of capacitance.
         let sl_wire_cap = geometry.sl_wire_cap_per_cell(area_f2) * rows as f64;
-        let mut sl_pins = Vec::with_capacity(width);
-        let mut sl_nodes = Vec::with_capacity(width);
-        for i in 0..width {
-            let mut make_line = |tag: &str| -> Result<(PinId, NodeId), CellError> {
+        let mut sl_pins = Vec::with_capacity(nb);
+        let mut sl_caps = Vec::with_capacity(nb);
+        let mut sl_nodes = Vec::with_capacity(nb);
+        for (&i, &m) in columns.iter().zip(&mults) {
+            ckt.set_multiplicity(m);
+            let mut make_line = |tag: &str| -> Result<(PinId, DeviceId, NodeId), CellError> {
                 let drv = ckt.node(&format!("{tag}drv{i}"));
                 let line = ckt.node(&format!("{tag}{i}"));
                 let pin = ckt
@@ -202,92 +275,93 @@ impl Testbench {
                     format!("r_{tag}{i}"),
                     Resistor::new(drv, line, geometry.sl_driver_resistance),
                 );
-                ckt.add_labeled(
+                let cap = ckt.add_labeled(
                     format!("c_{tag}wire{i}"),
                     Capacitor::new(line, NodeId::GROUND, sl_wire_cap),
                 );
-                Ok((pin, line))
+                Ok((pin, cap, line))
             };
-            let (sl_pin, sl_node) = make_line("sl")?;
-            let (slb_pin, slb_node) = make_line("slb")?;
+            let (sl_pin, sl_cap, sl_node) = make_line("sl")?;
+            let (slb_pin, slb_cap, slb_node) = make_line("slb")?;
             sl_pins.push((sl_pin, slb_pin));
+            sl_caps.push((sl_cap, slb_cap));
             sl_nodes.push((sl_node, slb_node));
         }
 
-        // Footers (one per group of adjacent columns within a segment),
-        // labelled by the site of the group's first cell.
-        let mut source_rail_of_site = vec![NodeId::GROUND; rows * width];
-        if let FooterStyle::SharedPerGroup(group) = features.footer {
+        // Footers (one per group and row), labelled by the site of the
+        // group's first cell.
+        let mut source_rails = vec![NodeId::GROUND; rows * nb];
+        if let FooterStyle::SharedPerGroup(_) = footer {
             let en_node = ckt.node("en");
             for r in 0..rows {
-                for columns in &segment_columns {
-                    for chunk in columns.chunks(group.max(1)) {
-                        let rail = ckt.fresh_node("footer_rail");
-                        let footer = card.nmos.scaled(geometry.footer_width_mult);
-                        ckt.add_labeled(
-                            format!("m_footer{}", r * width + chunk[0]),
-                            Mosfet::new(footer, rail, en_node, ckt.ground()),
-                        );
-                        for &col in chunk {
-                            source_rail_of_site[r * width + col] = rail;
-                        }
-                    }
+                let mut k = r * nb;
+                for &(g, m) in units {
+                    ckt.set_multiplicity(m);
+                    let group = &self.groups[g];
+                    let rail = ckt.fresh_node("footer_rail");
+                    let footer = card.nmos.scaled(geometry.footer_width_mult);
+                    ckt.add_labeled(
+                        format!("m_footer{}", r * self.width + group[0]),
+                        Mosfet::new(footer, rail, en_node, ckt.ground()),
+                    );
+                    source_rails[k..k + group.len()].fill(rail);
+                    k += group.len();
                 }
             }
         }
 
         // Cells.
-        let mut cells = Vec::with_capacity(rows * width);
-        for (index, &source_rail) in source_rail_of_site.iter().enumerate() {
-            let (r, i) = (index / width, index % width);
-            let site = CellSite {
-                index,
-                ml: ml_nodes[r * segments + segment_of_column[i]],
-                sl: sl_nodes[i].0,
-                slb: sl_nodes[i].1,
-                source_rail,
-            };
-            cells.push(design.build_cell(&mut ckt, &card, &geometry, &site));
+        let mut cells = Vec::with_capacity(rows * nb);
+        for r in 0..rows {
+            for (k, (&i, &m)) in columns.iter().zip(&mults).enumerate() {
+                ckt.set_multiplicity(m);
+                let site = CellSite {
+                    index: r * self.width + i,
+                    ml: ml_nodes[r * segments + self.segment_of_column[i]],
+                    sl: sl_nodes[k].0,
+                    slb: sl_nodes[k].1,
+                    source_rail: source_rails[r * nb + k],
+                };
+                cells.push(design.build_cell(&mut ckt, card, geometry, &site));
+            }
         }
+        ckt.set_multiplicity(1.0);
 
-        Ok(Self {
+        Ok(Netlist {
             ckt,
-            design,
-            card,
-            geometry,
-            width,
+            columns,
             cells,
             sl_pins,
+            sl_caps,
             ml_nodes,
-            ml_names,
+            ml_caps,
             pre_pins,
-            precharge,
             en_pin,
             wen_pin: wen,
-            segment_of_column,
-            segment_columns,
-            step_stats: StepStats::default(),
-            recovery_stats: RecoveryStats::default(),
-            solver_perf: SolverPerf::default(),
-            newton: NewtonSettings::default(),
         })
     }
 
     /// Programs row `r` to `word` (ideal write).
     pub fn program_row(&mut self, r: usize, word: &TernaryWord) {
-        let cells = &self.cells[r * self.width..(r + 1) * self.width];
+        let cells = &self.net.cells[r * self.width..(r + 1) * self.width];
         for (i, handle) in cells.iter().enumerate() {
             self.design
-                .program_cell(&mut self.ckt, handle, &self.card, word.get(i));
+                .program_cell(&mut self.net.ckt, handle, &self.card, word.get(i));
         }
     }
 
     /// Runs a transient with this testbench's Newton settings and adds its
     /// solver statistics to the running totals.
+    ///
+    /// Column groups that must follow identical trajectories are folded
+    /// into one representative each (see `crate::fold`); with no two alike
+    /// the record netlist runs as it is.
     pub fn run(&mut self, opts: TransientOpts) -> Result<TransientResult, CellError> {
-        let result = Transient::new(opts.with_newton(self.newton))
-            .run(&mut self.ckt)
-            .map_err(CellError::from)?;
+        let transient = Transient::new(opts.with_newton(self.newton));
+        let result = match self.fold.then(|| self.partition()).flatten() {
+            Some(partition) => self.run_folded(&transient, &partition)?,
+            None => transient.run(&mut self.net.ckt).map_err(CellError::from)?,
+        };
         self.step_stats += result.step_stats();
         self.recovery_stats += result.recovery_stats();
         self.solver_perf += result.solver_perf();
@@ -310,13 +384,13 @@ impl Testbench {
         let vdd = self.card.vdd;
         let segments = self.segment_columns.len();
         let (on, off) = (self.precharge.on_level(vdd), self.precharge.off_level(vdd));
-        for (m, &pin) in self.pre_pins.iter().enumerate() {
+        for (m, &pin) in self.net.pre_pins.iter().enumerate() {
             let wave = if m % segments == seg {
                 two_cycle_pwl([on, off, on, off], timing)
             } else {
                 Waveform::dc(off)
             };
-            self.ckt.set_pin_waveform(pin, wave);
+            self.net.ckt.set_pin_waveform(pin, wave);
         }
         for (i, &(v_sl, v_slb)) in levels.iter().enumerate() {
             let (sl_wave, slb_wave) = if self.segment_of_column[i] != seg {
@@ -329,17 +403,22 @@ impl Testbench {
             } else {
                 (Waveform::dc(v_sl), Waveform::dc(v_slb))
             };
-            self.ckt.set_pin_waveform(self.sl_pins[i].0, sl_wave);
-            self.ckt.set_pin_waveform(self.sl_pins[i].1, slb_wave);
+            self.net
+                .ckt
+                .set_pin_waveform(self.net.sl_pins[i].0, sl_wave);
+            self.net
+                .ckt
+                .set_pin_waveform(self.net.sl_pins[i].1, slb_wave);
         }
-        if let Some(en) = self.en_pin {
-            self.ckt
+        if let Some(en) = self.net.en_pin {
+            self.net
+                .ckt
                 .set_pin_waveform(en, two_cycle_pwl([0.0, vdd, 0.0, vdd], timing));
         }
-        if let Some(wen) = self.wen_pin {
-            self.ckt.set_pin_waveform(wen, Waveform::dc(0.0));
+        if let Some(wen) = self.net.wen_pin {
+            self.net.ckt.set_pin_waveform(wen, Waveform::dc(0.0));
         }
-        let evaluated = self.ml_nodes[seg..].iter().step_by(segments).copied();
+        let evaluated = self.net.ml_nodes[seg..].iter().step_by(segments).copied();
         let opts = TransientOpts::new(timing.dt, 2.0 * timing.cycle())
             .use_initial_conditions()
             .with_step_control(timing.step)
@@ -349,13 +428,17 @@ impl Testbench {
 
     /// Energy drawn over `[t0, t1]` by the precharge rails of every match
     /// line and by the SL and SLB drivers of every column, as `(ml, sl)`.
+    ///
+    /// A folded run has driver pins for its representative columns only,
+    /// each carrying its class's total, so the sum is over the pins that
+    /// exist.
     pub fn line_energies(&self, result: &TransientResult, t0: f64, t1: f64) -> (f64, f64) {
-        let energy = |label: String| result.supply_energy_in(&label, t0, t1).expect("pin exists");
-        let e_ml = (0..self.ml_nodes.len())
-            .map(|m| energy(format!("VPRE{m}")))
+        let energy = |label: String| result.supply_energy_in(&label, t0, t1).ok();
+        let e_ml = (0..self.ml_names.len())
+            .filter_map(|m| energy(format!("VPRE{m}")))
             .sum();
         let e_sl = (0..self.width)
-            .map(|i| energy(format!("SL{i}")) + energy(format!("SLB{i}")))
+            .filter_map(|i| Some(energy(format!("SL{i}"))? + energy(format!("SLB{i}"))?))
             .sum();
         (e_ml, e_sl)
     }

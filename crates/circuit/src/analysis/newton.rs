@@ -292,15 +292,18 @@ fn assemble_pass(
             time,
             dt,
             method,
+            mult: 1.0,
         };
         for &idx in indices {
+            ctx.mult = circuit.device_mult[idx];
             circuit.devices[idx].stamp(&mut ctx);
         }
     }
     if let Some(g) = gmin {
-        // gmin shunt on free node diagonals keeps floating nodes solvable.
-        for col in 0..vars.n_free {
-            matrix.add(col, col, g);
+        // gmin shunt on free node diagonals keeps floating nodes solvable;
+        // a node standing for `m` copies carries `m` shunts.
+        for (col, &m) in vars.free_mult.iter().enumerate() {
+            matrix.add(col, col, g * m);
         }
     }
     if use_tape {
@@ -603,8 +606,10 @@ pub(crate) fn measure_currents(
         time,
         dt,
         method,
+        mult: 1.0,
     };
-    for dev in &circuit.devices {
+    for (dev, &m) in circuit.devices.iter().zip(&circuit.device_mult) {
+        ctx.mult = m;
         dev.stamp(&mut ctx);
     }
 }

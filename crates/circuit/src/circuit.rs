@@ -53,26 +53,65 @@ pub(crate) struct Pin {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Default)]
+///
+/// # Multiplicity
+///
+/// [`Circuit::set_multiplicity`] gives the nodes and devices created after
+/// it an instance multiplicity `m`, like SPICE's `M=`: one device stands
+/// for `m` identical copies in parallel. Every stamp of the device is
+/// scaled by `m`, and so is the `gmin` shunt of the node, so a node of
+/// multiplicity `m` obeys `m` times the equation of one unfolded copy.
+/// The default is `m = 1`, which scales by `1.0` and is therefore exact.
+#[derive(Debug)]
 pub struct Circuit {
     node_names: Vec<String>,
     name_index: HashMap<String, NodeId>,
+    pub(crate) node_mult: Vec<f64>,
     pub(crate) devices: Vec<Box<dyn Device>>,
+    pub(crate) device_mult: Vec<f64>,
     device_labels: Vec<String>,
     pub(crate) pins: Vec<Pin>,
     pin_of_node: HashMap<NodeId, PinId>,
     fresh_counter: u64,
+    multiplicity: f64,
+}
+
+impl Default for Circuit {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Circuit {
     /// Creates an empty circuit containing only the ground node.
     pub fn new() -> Self {
-        let mut ckt = Self {
+        Self {
             node_names: vec!["gnd".to_string()],
-            ..Self::default()
-        };
-        ckt.name_index.insert("gnd".to_string(), NodeId::GROUND);
-        ckt
+            name_index: HashMap::from([("gnd".to_string(), NodeId::GROUND)]),
+            node_mult: vec![1.0],
+            devices: Vec::new(),
+            device_mult: Vec::new(),
+            device_labels: Vec::new(),
+            pins: Vec::new(),
+            pin_of_node: HashMap::new(),
+            fresh_counter: 0,
+            multiplicity: 1.0,
+        }
+    }
+
+    /// Sets the instance multiplicity of every node and device created
+    /// from now on (see [Multiplicity](#multiplicity)); `1.0` restores the
+    /// default.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `m` is positive and finite.
+    pub fn set_multiplicity(&mut self, m: f64) {
+        assert!(
+            m.is_finite() && m > 0.0,
+            "multiplicity must be positive, got {m}"
+        );
+        self.multiplicity = m;
     }
 
     /// The ground (reference) node.
@@ -87,6 +126,7 @@ impl Circuit {
         }
         let id = NodeId(self.node_names.len() as u32);
         self.node_names.push(name.to_string());
+        self.node_mult.push(self.multiplicity);
         self.name_index.insert(name.to_string(), id);
         id
     }
@@ -152,6 +192,7 @@ impl Circuit {
     ) -> DeviceId {
         let id = DeviceId(self.devices.len() as u32);
         self.devices.push(Box::new(device));
+        self.device_mult.push(self.multiplicity);
         self.device_labels.push(label.into());
         id
     }
@@ -225,6 +266,15 @@ impl Circuit {
         self.pins[pin.index()].wave = wave;
     }
 
+    /// The waveform a pin currently drives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pin` does not belong to this circuit.
+    pub fn pin_waveform(&self, pin: PinId) -> &Waveform {
+        &self.pins[pin.index()].wave
+    }
+
     /// The label of a pin.
     ///
     /// # Panics
@@ -257,6 +307,7 @@ impl Circuit {
     /// Builds the node → unknown mapping and assigns device branch indices.
     pub(crate) fn build_var_map(&mut self) -> VarMap {
         let mut kinds = vec![VarKind::Ground; self.node_names.len()];
+        let mut free_mult = Vec::new();
         let mut col = 0usize;
         for (i, kind) in kinds.iter_mut().enumerate() {
             let node = NodeId(i as u32);
@@ -266,6 +317,7 @@ impl Circuit {
                 *kind = VarKind::Pinned(pin.index());
             } else {
                 *kind = VarKind::Free(col);
+                free_mult.push(self.node_mult[i]);
                 col += 1;
             }
         }
@@ -281,6 +333,7 @@ impl Circuit {
             kinds,
             n_free: col,
             n_branches,
+            free_mult,
         }
     }
 

@@ -76,6 +76,14 @@ impl Capacitor {
         self.v_prev
     }
 
+    /// Sets the committed voltage, as if a previous transient had ended
+    /// there; the next transient started with *use initial conditions*
+    /// carries it unless an explicit initial voltage overrides it.
+    pub fn set_voltage(&mut self, volts: f64) {
+        self.v_prev = volts;
+        self.i_prev = 0.0;
+    }
+
     /// Energy currently stored, `½·C·V²` (joules).
     pub fn stored_energy(&self) -> f64 {
         0.5 * self.capacitance * self.v_prev * self.v_prev

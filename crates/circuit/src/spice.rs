@@ -15,7 +15,8 @@ use crate::node::NodeId;
 ///
 /// Pinned sources become ideal voltage sources `Vpin_<label>`; devices are
 /// emitted in insertion order via [`crate::Device::spice_lines`], falling
-/// back to a comment for devices that opt out.
+/// back to a comment for devices that opt out. A device with a
+/// multiplicity other than 1 gets an `M=` suffix.
 ///
 /// # Examples
 ///
@@ -54,7 +55,11 @@ pub fn export_spice(circuit: &Circuit, title: &str) -> String {
         let id = crate::device::DeviceId(d as u32);
         let label = sanitize(circuit.device_label(id));
         match circuit.devices[d].spice_lines(&names, &label) {
-            Some(lines) => {
+            Some(mut lines) => {
+                let m = circuit.device_mult[d];
+                if m != 1.0 {
+                    lines = format!("{} M={}", lines.trim_end(), crate::format_spice_number(m));
+                }
                 out.push_str(&lines);
                 if !lines.ends_with('\n') {
                     out.push('\n');

@@ -43,6 +43,8 @@ pub(crate) struct VarMap {
     pub kinds: Vec<VarKind>,
     pub n_free: usize,
     pub n_branches: usize,
+    /// Multiplicity of each free node, by column: scales its `gmin` shunt.
+    pub free_mult: Vec<f64>,
 }
 
 impl VarMap {
@@ -81,6 +83,10 @@ pub(crate) enum StampMode<'a> {
 ///
 /// All stamping primitives follow the convention that a positive current
 /// flows *from* the first node *to* the second node **through the device**.
+///
+/// Every primitive scales what it stamps by the multiplicity of the device
+/// being stamped (see [`crate::Circuit::set_multiplicity`]): conductances,
+/// transconductances and currents, in both modes.
 pub struct StampCtx<'a> {
     pub(crate) mode: StampMode<'a>,
     pub(crate) vars: &'a VarMap,
@@ -92,6 +98,8 @@ pub struct StampCtx<'a> {
     /// `None` during DC analysis.
     pub(crate) dt: Option<f64>,
     pub(crate) method: IntegrationMethod,
+    /// Multiplicity of the device being stamped.
+    pub(crate) mult: f64,
 }
 
 impl<'a> StampCtx<'a> {
@@ -143,6 +151,7 @@ impl<'a> StampCtx<'a> {
         ctrl_minus: NodeId,
         g: f64,
     ) {
+        let g = g * self.mult;
         let vars = self.vars;
         let (x, pinned) = (self.x, self.pinned);
         match &mut self.mode {
@@ -178,6 +187,7 @@ impl<'a> StampCtx<'a> {
     /// Stamps an independent current `i` flowing from `from` to `to` through
     /// the device (the Norton/companion-model source term).
     pub fn stamp_current(&mut self, from: NodeId, to: NodeId, i: f64) {
+        let i = i * self.mult;
         let vars = self.vars;
         match &mut self.mode {
             StampMode::Measure { current_out } => {
@@ -201,19 +211,22 @@ impl<'a> StampCtx<'a> {
         let vars = self.vars;
         let (x, pinned) = (self.x, self.pinned);
         let bcol = vars.branch_col(branch);
+        // The branch unknown is the current of one copy; the KCL rows see
+        // all `m` of them. The branch row itself is not scaled.
+        let m = self.mult;
         match &mut self.mode {
             StampMode::Measure { current_out } => {
-                let i = x[bcol];
+                let i = x[bcol] * m;
                 current_out[plus.index()] += i;
                 current_out[minus.index()] -= i;
             }
             StampMode::Assemble { matrix, rhs } => {
                 // KCL rows: branch current leaves `plus`, enters `minus`.
                 if let VarKind::Free(row) = vars.kinds[plus.index()] {
-                    matrix.add(row, bcol, 1.0);
+                    matrix.add(row, bcol, m);
                 }
                 if let VarKind::Free(row) = vars.kinds[minus.index()] {
-                    matrix.add(row, bcol, -1.0);
+                    matrix.add(row, bcol, -m);
                 }
                 // Branch row: v_plus − v_minus = v.
                 let brow = bcol;

@@ -172,6 +172,12 @@ impl FeFet {
         self.switching_energy
     }
 
+    /// Adds `joules` to the cumulative switching energy, e.g. the energy
+    /// an identical device switched on this one's behalf.
+    pub fn add_switching_energy(&mut self, joules: f64) {
+        self.switching_energy += joules;
+    }
+
     fn effective_mosfet(&self) -> MosfetParams {
         MosfetParams {
             vth: self.threshold_voltage(),
