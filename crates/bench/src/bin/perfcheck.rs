@@ -5,7 +5,7 @@
 //! perfcheck <bench.json> <baseline.json>
 //! ```
 //!
-//! Three classes of regression are caught:
+//! Four classes of regression are caught:
 //!
 //! * the hot path silently disabling itself — the fresh report must show
 //!   nonzero tape replays and baseline reuses (a refactor that stops the
@@ -13,7 +13,9 @@
 //! * step-count regressions — accepted transient steps growing more than
 //!   [`TOLERANCE`] over the baseline means stepping or recovery changed;
 //! * factorisation regressions — LU factorisation counts growing more
-//!   than [`TOLERANCE`] means the reuse/chord guards got weaker.
+//!   than [`TOLERANCE`] means the reuse/chord guards got weaker;
+//! * Newton-iteration regressions — iterations growing more than
+//!   [`TOLERANCE`] means convergence got slower at the same steps.
 //!
 //! Wall-clock is deliberately *not* gated: CI machines are too noisy.
 //! The counters are deterministic, so a 20% margin only absorbs genuine
@@ -66,6 +68,11 @@ fn run(current: &BenchReport, baseline: &BenchReport) -> bool {
         "LU factorisations",
         cur_solver.factorizations,
         base_solver.factorizations,
+    );
+    ok &= check_growth(
+        "Newton iterations",
+        cur_steps.newton_iters,
+        base_steps.newton_iters,
     );
     println!(
         "info wall-clock (not gated): {:.2} s vs baseline {:.2} s",

@@ -3,15 +3,18 @@
 //! There is one iteration loop. Devices are partitioned by
 //! [`crate::StampClass`] into a *static* set (matrix stamp fixed within
 //! one time point) and a *dynamic* set (restamped every iteration). The
-//! static set plus the `gmin` shunts are stamped once per call into a
-//! baseline snapshot; each iteration restores the snapshot and restamps
-//! only the dynamic set, then factors (or reuses factors) and solves.
+//! static set, the dynamic set's [`crate::Device::stamp_companions`] and
+//! the `gmin` shunts are stamped once per call into a baseline snapshot;
+//! each iteration restores the snapshot and restamps only the dynamic
+//! set's [`crate::Device::stamp`], then factors (or reuses factors) and
+//! solves.
 //!
 //! Three layers make the loop cheap, and [`HotPath`] switches each off
 //! independently of the others:
 //!
 //! * `incremental` — the static/dynamic partition. Off, every device is
-//!   dynamic and the baseline holds only the `gmin` shunts.
+//!   dynamic, companions included, and the baseline holds only the `gmin`
+//!   shunts.
 //! * `tape` — both stamping passes run through slot-resolved stamp tapes
 //!   ([`crate::linalg::StampTape`]), so steady-state assembly is straight
 //!   array writes with no hash lookups.
@@ -51,8 +54,9 @@ const CHORD_MAX_AGE: u64 = 10;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HotPath {
     /// Partition devices by [`crate::StampClass`], stamp the static set
-    /// once per time point into a baseline snapshot, and restamp only the
-    /// dynamic set each Newton iteration.
+    /// and the dynamic set's companions once per time point into a
+    /// baseline snapshot, and restamp only the dynamic set's
+    /// [`crate::Device::stamp`] each Newton iteration.
     pub incremental: bool,
     /// Record each assembly pass's `(row, col) → slot` writes into a
     /// replayable tape, turning steady-state stamping into direct array
@@ -261,7 +265,18 @@ impl NewtonWorkspace {
     }
 }
 
-/// One stamping pass over a subset of devices, optionally recorded into or
+/// Which of a device's two stamping entry points a pass calls.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stamps {
+    /// [`crate::Device::stamp`] then [`crate::Device::stamp_companions`].
+    Both,
+    /// [`crate::Device::stamp`] only: the part that moves with the iterate.
+    Iterate,
+    /// [`crate::Device::stamp_companions`] only.
+    Companions,
+}
+
+/// One stamping pass over subsets of devices, optionally recorded into or
 /// replayed from a slot tape. When `gmin` is `Some`, the free-node shunt
 /// diagonals are stamped at the end of the pass (so they land on the tape
 /// too). The caller clears the system before a baseline pass.
@@ -276,7 +291,7 @@ fn assemble_pass(
     method: IntegrationMethod,
     matrix: &mut SystemMatrix,
     rhs: &mut [f64],
-    indices: &[usize],
+    sets: &[(&[usize], Stamps)],
     gmin: Option<f64>,
     use_tape: bool,
     tape: &mut StampTape,
@@ -294,9 +309,17 @@ fn assemble_pass(
             method,
             mult: 1.0,
         };
-        for &idx in indices {
-            ctx.mult = circuit.device_mult[idx];
-            circuit.devices[idx].stamp(&mut ctx);
+        for &(indices, stamps) in sets {
+            for &idx in indices {
+                ctx.mult = circuit.device_mult[idx];
+                let dev = &circuit.devices[idx];
+                if stamps != Stamps::Companions {
+                    dev.stamp(&mut ctx);
+                }
+                if stamps != Stamps::Iterate {
+                    dev.stamp_companions(&mut ctx);
+                }
+            }
         }
     }
     if let Some(g) = gmin {
@@ -426,6 +449,13 @@ pub(crate) fn solve(
         force_refresh,
     } = ws;
     let part = partition.as_ref().expect("partition computed above");
+    // Incremental: the dynamic set's companions are fixed within this
+    // call, so they go into the baseline. Legacy: everything restamps.
+    let (held, iterate) = if hp.incremental {
+        (&part.dynamic_devices[..], Stamps::Iterate)
+    } else {
+        (&[][..], Stamps::Both)
+    };
     // The chord contraction guard compares successive deltas *within* this
     // call; the converged tail of the previous time point must not count.
     *prev_delta = f64::INFINITY;
@@ -447,7 +477,10 @@ pub(crate) fn solve(
                 method,
                 matrix,
                 rhs,
-                &part.static_devices,
+                &[
+                    (&part.static_devices, Stamps::Both),
+                    (held, Stamps::Companions),
+                ],
                 Some(settings.gmin),
                 hp.tape,
                 static_tape,
@@ -475,7 +508,7 @@ pub(crate) fn solve(
                 method,
                 matrix,
                 rhs,
-                &part.dynamic_devices,
+                &[(&part.dynamic_devices, iterate)],
                 None,
                 hp.tape,
                 dynamic_tape,
@@ -611,6 +644,7 @@ pub(crate) fn measure_currents(
     for (dev, &m) in circuit.devices.iter().zip(&circuit.device_mult) {
         ctx.mult = m;
         dev.stamp(&mut ctx);
+        dev.stamp_companions(&mut ctx);
     }
 }
 

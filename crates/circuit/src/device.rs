@@ -53,7 +53,7 @@ pub enum StampClass {
 
 /// A circuit element that can stamp itself into the MNA system.
 ///
-/// The simulator drives devices through three entry points:
+/// The simulator drives devices through four entry points:
 ///
 /// 1. [`Device::stamp`] — called on every Newton iteration (and once more in
 ///    *measure* mode after convergence). The device reads candidate node
@@ -61,10 +61,15 @@ pub enum StampClass {
 ///    conductances and equivalent current sources. Using the same method for
 ///    assembly and measurement guarantees the measured terminal currents are
 ///    exactly the converged model currents.
-/// 2. [`Device::commit`] — called once per accepted time step so the device
+/// 2. [`Device::stamp_companions`] — the part of a dynamic device's stamp
+///    that is fixed within one time point (linear companion capacitors,
+///    lagged currents). The Newton loop stamps it once per time point with
+///    the static set's baseline; the measure pass calls it right after
+///    [`Device::stamp`].
+/// 3. [`Device::commit`] — called once per accepted time step so the device
 ///    can update internal state (capacitor charge, ferroelectric
 ///    polarization, ...).
-/// 3. [`Device::init`] — called once when a transient starts, after the DC
+/// 4. [`Device::init`] — called once when a transient starts, after the DC
 ///    operating point (or with the user's initial conditions when `uic`).
 ///
 /// Devices requiring branch-current unknowns (ideal two-terminal voltage
@@ -74,6 +79,18 @@ pub trait Device: Any + std::fmt::Debug + Send {
     /// Stamps the linearised device equations (assembly mode) or its terminal
     /// currents (measure mode) into the context.
     fn stamp(&self, ctx: &mut StampCtx<'_>);
+
+    /// Stamps the contributions that do not depend on the candidate
+    /// solution, only on committed state, `dt` and the integration method.
+    ///
+    /// A device's full stamp is [`Device::stamp`] followed by this method.
+    /// With [`crate::HotPath`]'s `incremental` layer on, the Newton loop
+    /// calls it once per time point into the baseline snapshot for
+    /// [`StampClass::Dynamic`] devices, whose [`Device::stamp`] alone is
+    /// then restamped every iteration. The default stamps nothing.
+    fn stamp_companions(&self, ctx: &mut StampCtx<'_>) {
+        let _ = ctx;
+    }
 
     /// Number of extra branch-current unknowns required.
     fn branch_count(&self) -> usize {

@@ -45,11 +45,15 @@
 //!
 //! # Design notes
 //!
-//! The solver uses a dense LU factorisation with partial pivoting. TCAM
-//! testbenches pin all drivers and supplies, leaving at most a few hundred
-//! unknowns, where dense linear algebra is both exact and fast; a sparse
-//! solver would add complexity with no benefit at this scale (see
-//! `DESIGN.md` §5).
+//! TCAM testbenches pin all drivers and supplies, leaving at most a few
+//! hundred unknowns. Systems below [`linalg::SPARSE_THRESHOLD`] unknowns
+//! use a dense LU factorisation with partial pivoting; larger ones use a
+//! no-pivot sparse LU with one-time symbolic factorisation, which demotes
+//! the analysis to dense LU on a bad pivot, so correctness never depends
+//! on the sparse path ([`linalg::SystemMatrix`]). The Newton loop stamps
+//! each time point's fixed part once and restamps only what moves with
+//! the iterate ([`HotPath`], [`Device::stamp_companions`]); see
+//! `DESIGN.md` §5.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -232,6 +232,9 @@ impl Device for FeFet {
         ctx.stamp_transconductance(self.drain, self.source, self.gate, self.source, gm);
         ctx.stamp_conductance(self.drain, self.source, gds);
         ctx.stamp_current(self.drain, self.source, ieq);
+    }
+
+    fn stamp_companions(&self, ctx: &mut StampCtx<'_>) {
         // Gate stack capacitances.
         self.cgs.stamp(ctx, self.gate, self.source);
         self.cgd.stamp(ctx, self.gate, self.drain);

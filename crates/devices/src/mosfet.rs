@@ -81,26 +81,15 @@ impl MosfetParams {
     }
 }
 
-/// `f(u) = ln(1 + e^u)` evaluated without overflow.
+/// `(ln(1 + eᵘ), σ(u))` from one `exp`, without overflow: the EKV
+/// interpolation function and its derivative.
 #[inline]
-fn softplus(u: f64) -> f64 {
+fn softplus_sigmoid(u: f64) -> (f64, f64) {
     if u > 30.0 {
-        u
-    } else if u < -30.0 {
-        u.exp()
-    } else {
-        u.exp().ln_1p()
-    }
-}
-
-/// Logistic function `σ(u)` without overflow.
-#[inline]
-fn sigmoid(u: f64) -> f64 {
-    if u >= 0.0 {
-        1.0 / (1.0 + (-u).exp())
+        (u, 1.0 / (1.0 + (-u).exp()))
     } else {
         let e = u.exp();
-        e / (1.0 + e)
+        (if u < -30.0 { e } else { e.ln_1p() }, e / (1.0 + e))
     }
 }
 
@@ -155,10 +144,10 @@ impl Mosfet {
         let denom = 2.0 * p.n * p.vt;
         let ugs = (vgs - p.vth) / denom;
         let ugd = (vgs - vds - p.vth) / denom;
-        let fs = softplus(ugs);
-        let fd = softplus(ugd);
-        let dfs = sigmoid(ugs) / denom; // d softplus(ugs) / d vgs
-        let dfd = sigmoid(ugd) / denom;
+        let (fs, sgs) = softplus_sigmoid(ugs);
+        let (fd, sgd) = softplus_sigmoid(ugd);
+        let dfs = sgs / denom; // d softplus(ugs) / d vgs
+        let dfd = sgd / denom;
         // F = f², dF/dv = 2·f·f'.
         let ff = fs * fs - fd * fd;
         let clm = 1.0 + p.lambda * vds.abs();
@@ -183,8 +172,29 @@ impl Mosfet {
         let (i, _, _) = Self::channel_currents(&self.params, vgs, vds);
         sign * i
     }
+}
 
-    fn stamp_channel(&self, ctx: &mut StampCtx<'_>) {
+impl Device for Mosfet {
+    fn spice_lines(&self, names: &dyn Fn(NodeId) -> String, label: &str) -> Option<String> {
+        let kind = match self.params.polarity {
+            Polarity::Nmos => "NMOS",
+            Polarity::Pmos => "PMOS",
+        };
+        let f = ftcam_circuit::format_spice_number;
+        Some(format!(
+            "M{label} {} {} {} 0 MOD_{label} W={} L={}\n.model MOD_{label} {kind}(VTO={} KP={} LAMBDA={})",
+            names(self.drain),
+            names(self.gate),
+            names(self.source),
+            f(self.params.width),
+            f(self.params.length),
+            f(self.params.vth),
+            f(self.params.kp),
+            f(self.params.lambda),
+        ))
+    }
+
+    fn stamp(&self, ctx: &mut StampCtx<'_>) {
         let vg = ctx.v(self.gate);
         let vd = ctx.v(self.drain);
         let vs = ctx.v(self.source);
@@ -211,30 +221,8 @@ impl Mosfet {
         // transconductance models gm·(vg − vs); the residual is a constant.
         ctx.stamp_current(self.drain, self.source, ieq);
     }
-}
 
-impl Device for Mosfet {
-    fn spice_lines(&self, names: &dyn Fn(NodeId) -> String, label: &str) -> Option<String> {
-        let kind = match self.params.polarity {
-            Polarity::Nmos => "NMOS",
-            Polarity::Pmos => "PMOS",
-        };
-        let f = ftcam_circuit::format_spice_number;
-        Some(format!(
-            "M{label} {} {} {} 0 MOD_{label} W={} L={}\n.model MOD_{label} {kind}(VTO={} KP={} LAMBDA={})",
-            names(self.drain),
-            names(self.gate),
-            names(self.source),
-            f(self.params.width),
-            f(self.params.length),
-            f(self.params.vth),
-            f(self.params.kp),
-            f(self.params.lambda),
-        ))
-    }
-
-    fn stamp(&self, ctx: &mut StampCtx<'_>) {
-        self.stamp_channel(ctx);
+    fn stamp_companions(&self, ctx: &mut StampCtx<'_>) {
         self.cgs.stamp(ctx, self.gate, self.source);
         self.cgd.stamp(ctx, self.gate, self.drain);
         self.cdb.stamp(ctx, self.drain, NodeId::GROUND);
@@ -273,6 +261,45 @@ mod tests {
 
     fn nmos() -> MosfetParams {
         TechCard::hp45().nmos
+    }
+
+    /// The one-`exp` kernel against the two-`exp` forms it replaced, on a
+    /// grid crossing both ±30 cut-offs: softplus bit-equal, sigmoid within
+    /// 4ε relative.
+    #[test]
+    fn softplus_sigmoid_matches_two_exp_forms() {
+        fn softplus(u: f64) -> f64 {
+            if u > 30.0 {
+                u
+            } else if u < -30.0 {
+                u.exp()
+            } else {
+                u.exp().ln_1p()
+            }
+        }
+        fn sigmoid(u: f64) -> f64 {
+            if u >= 0.0 {
+                1.0 / (1.0 + (-u).exp())
+            } else {
+                let e = u.exp();
+                e / (1.0 + e)
+            }
+        }
+        let mut worst: f64 = 0.0;
+        for k in -40_000..=40_000 {
+            let u = f64::from(k) * 1e-3 + 1.7e-7;
+            let (sp, sg) = softplus_sigmoid(u);
+            assert_eq!(sp.to_bits(), softplus(u).to_bits(), "softplus at u = {u}");
+            let rel = (sg - sigmoid(u)).abs() / sigmoid(u);
+            assert!(rel <= 4.0 * f64::EPSILON, "sigmoid at u = {u}: rel {rel:e}");
+            worst = worst.max(rel);
+        }
+        for u in [-30.0, 30.0, -30.0 - 1e-12, 30.0 + 1e-12, 0.0, -0.0] {
+            let (sp, sg) = softplus_sigmoid(u);
+            assert_eq!(sp.to_bits(), softplus(u).to_bits(), "softplus at u = {u}");
+            assert!((sg - sigmoid(u)).abs() <= 4.0 * f64::EPSILON * sigmoid(u));
+        }
+        assert!(worst > 0.0, "the grid must reach the rewritten branch");
     }
 
     #[test]
