@@ -5,7 +5,7 @@
 //! perfcheck <bench.json> <baseline.json>
 //! ```
 //!
-//! Four classes of regression are caught:
+//! Five classes of regression are caught:
 //!
 //! * the hot path silently disabling itself — the fresh report must show
 //!   nonzero tape replays and baseline reuses (a refactor that stops the
@@ -15,7 +15,9 @@
 //! * factorisation regressions — LU factorisation counts growing more
 //!   than [`TOLERANCE`] means the reuse/chord guards got weaker;
 //! * Newton-iteration regressions — iterations growing more than
-//!   [`TOLERANCE`] means convergence got slower at the same steps.
+//!   [`TOLERANCE`] means convergence got slower at the same steps;
+//! * dense demotions — the baseline records none, so any silent fallback
+//!   from the sparse LU to the dense one fails the gate.
 //!
 //! Wall-clock is deliberately *not* gated: CI machines are too noisy.
 //! The counters are deterministic, so a 20% margin only absorbs genuine
@@ -73,6 +75,11 @@ fn run(current: &BenchReport, baseline: &BenchReport) -> bool {
         "Newton iterations",
         cur_steps.newton_iters,
         base_steps.newton_iters,
+    );
+    ok &= check_growth(
+        "dense demotions",
+        current.total_recovery().dense_demotions,
+        baseline.total_recovery().dense_demotions,
     );
     println!(
         "info wall-clock (not gated): {:.2} s vs baseline {:.2} s",

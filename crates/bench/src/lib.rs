@@ -61,6 +61,11 @@ impl BenchReport {
     pub fn total_solver(&self) -> SolverPerf {
         self.records.iter().map(|r| r.solver).sum()
     }
+
+    /// Summed recovery-ladder counters across all records.
+    pub fn total_recovery(&self) -> RecoveryStats {
+        self.records.iter().map(|r| r.recovery).sum()
+    }
 }
 
 /// Writes a [`BenchReport`] as pretty-printed JSON, creating parent

@@ -211,9 +211,8 @@ struct FactorKey {
 
 /// Reusable buffers for the Newton iteration (avoids per-step allocation).
 ///
-/// The system matrix backend is picked from the unknown count: dense
-/// partial-pivot LU for small systems, sparse no-pivot LU (with symbolic
-/// reuse and automatic dense fallback) for large ones — see
+/// The system matrix starts on the sparse no-pivot LU (with symbolic
+/// reuse and automatic dense fallback) at every size — see
 /// [`crate::linalg::SystemMatrix`]. Beyond the matrix and vectors this
 /// carries the hot-path state that persists across calls: the
 /// static/dynamic device partition, the two stamp tapes, the baseline
@@ -247,7 +246,7 @@ pub(crate) struct NewtonWorkspace {
 impl NewtonWorkspace {
     pub fn new(n: usize) -> Self {
         Self {
-            matrix: SystemMatrix::auto(n),
+            matrix: SystemMatrix::sparse(n),
             rhs: vec![0.0; n],
             x_new: vec![0.0; n],
             perf: SolverPerf::default(),
@@ -655,14 +654,18 @@ mod tests {
     use crate::stamp::CommitCtx;
     use crate::waveform::Waveform;
 
-    /// An RC ladder wide enough to land on the sparse backend, with a
-    /// diode so the nonlinear (chord) path engages.
-    fn wide_ladder() -> Circuit {
+    /// Ladder stage counts the hot-path tests run at: a small system and
+    /// one as wide as the benchmark's sparse bucket.
+    const STAGES: [usize; 2] = [4, crate::linalg::SPARSE_THRESHOLD];
+
+    /// An RC ladder of `stages` stages, with a diode so the nonlinear
+    /// (chord) path engages.
+    fn ladder(stages: usize) -> Circuit {
         let mut ckt = Circuit::new();
         let rail = ckt.node("rail");
         ckt.pin(rail, "VDD", Waveform::dc(1.0)).expect("pin");
         let mut prev = rail;
-        for i in 0..crate::linalg::SPARSE_THRESHOLD {
+        for i in 0..stages {
             let n = ckt.node(&format!("s{i}"));
             ckt.add(Resistor::new(prev, n, 1e3));
             ckt.add(Capacitor::new(n, ckt.ground(), 1e-15));
@@ -676,11 +679,12 @@ mod tests {
     /// transient engine) and returns the solution after every step.
     /// `demote_at` forces a sparse→dense demotion before that step.
     fn stepped_solutions(
+        stages: usize,
         hot_path: HotPath,
         steps: usize,
         demote_at: Option<usize>,
     ) -> (Vec<Vec<f64>>, u64) {
-        let mut ckt = wide_ladder();
+        let mut ckt = ladder(stages);
         let vars = ckt.build_var_map();
         let n = vars.n_unknowns();
         let mut ws = NewtonWorkspace::new(n);
@@ -730,17 +734,27 @@ mod tests {
     /// agreeing with the untouched legacy loop.
     #[test]
     fn incremental_survives_mid_run_demotion() {
-        let (legacy, d0) = stepped_solutions(HotPath::legacy(), 8, None);
-        let (hot, d1) = stepped_solutions(HotPath::default(), 8, Some(4));
-        assert_eq!(d0, 0);
-        assert_eq!(d1, 1, "demotion must be counted");
-        for (step, (l, h)) in legacy.iter().zip(hot.iter()).enumerate() {
-            for (a, b) in l.iter().zip(h.iter()) {
-                assert!(
-                    (a - b).abs() < 1e-6,
-                    "step {step}: legacy {a} vs hot-after-demotion {b}"
-                );
+        for stages in STAGES {
+            let (legacy, d0) = stepped_solutions(stages, HotPath::legacy(), 8, None);
+            let (hot, d1) = stepped_solutions(stages, HotPath::default(), 8, Some(4));
+            assert_eq!(d0, 0);
+            assert_eq!(d1, 1, "demotion must be counted");
+            for (step, (l, h)) in legacy.iter().zip(hot.iter()).enumerate() {
+                for (a, b) in l.iter().zip(h.iter()) {
+                    assert!(
+                        (a - b).abs() < 1e-6,
+                        "{stages} stages, step {step}: legacy {a} vs hot-after-demotion {b}"
+                    );
+                }
             }
+        }
+    }
+
+    /// Every Newton workspace starts sparse, whatever its size.
+    #[test]
+    fn workspace_is_sparse_at_every_size() {
+        for n in [1, 10, crate::linalg::SPARSE_THRESHOLD] {
+            assert!(NewtonWorkspace::new(n).matrix.is_sparse(), "n = {n}");
         }
     }
 
@@ -748,38 +762,52 @@ mod tests {
     /// steady run — and the tape must replay once the pattern froze.
     #[test]
     fn hot_path_reuses_factors_and_tapes() {
-        let mut ckt = wide_ladder();
-        let vars = ckt.build_var_map();
-        let n = vars.n_unknowns();
-        let mut ws = NewtonWorkspace::new(n);
-        let settings = NewtonSettings::default();
-        let dt = 1e-12;
-        let mut pinned = Vec::new();
-        let mut x = vec![0.0; n];
-        for step in 0..6 {
-            let t = (step as f64 + 1.0) * dt;
-            ckt.pinned_values_at(t, &mut pinned);
-            solve(
-                &ckt,
-                &vars,
-                &mut x,
-                &pinned,
-                t,
-                Some(dt),
-                IntegrationMethod::BackwardEuler,
-                &settings,
-                &mut ws,
-            )
-            .expect("step converges");
+        for stages in STAGES {
+            let mut ckt = ladder(stages);
+            let vars = ckt.build_var_map();
+            let n = vars.n_unknowns();
+            let mut ws = NewtonWorkspace::new(n);
+            let settings = NewtonSettings::default();
+            let dt = 1e-12;
+            let mut pinned = Vec::new();
+            let mut x = vec![0.0; n];
+            for step in 0..6 {
+                let t = (step as f64 + 1.0) * dt;
+                ckt.pinned_values_at(t, &mut pinned);
+                solve(
+                    &ckt,
+                    &vars,
+                    &mut x,
+                    &pinned,
+                    t,
+                    Some(dt),
+                    IntegrationMethod::BackwardEuler,
+                    &settings,
+                    &mut ws,
+                )
+                .expect("step converges");
+            }
+            let perf = ws.perf;
+            assert!(
+                perf.lu_bypasses > 0,
+                "{stages} stages: chord must bypass factorisations"
+            );
+            assert!(
+                perf.tape_replays > 0,
+                "{stages} stages: tapes must replay: {perf:?}"
+            );
+            assert!(
+                perf.baseline_reuses > 0,
+                "{stages} stages: baselines must be reused"
+            );
+            assert!(
+                perf.factorizations < perf.substitutions,
+                "{stages} stages: reuse must beat refactoring: {perf:?}"
+            );
+            assert_eq!(
+                perf.tape_mismatches, 0,
+                "{stages} stages: pattern is stable: {perf:?}"
+            );
         }
-        let perf = ws.perf;
-        assert!(perf.lu_bypasses > 0, "chord must bypass factorisations");
-        assert!(perf.tape_replays > 0, "tapes must replay: {perf:?}");
-        assert!(perf.baseline_reuses > 0, "baselines must be reused");
-        assert!(
-            perf.factorizations < perf.substitutions,
-            "reuse must beat refactoring: {perf:?}"
-        );
-        assert_eq!(perf.tape_mismatches, 0, "pattern is stable: {perf:?}");
     }
 }

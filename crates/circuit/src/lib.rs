@@ -46,11 +46,11 @@
 //! # Design notes
 //!
 //! TCAM testbenches pin all drivers and supplies, leaving at most a few
-//! hundred unknowns. Systems below [`linalg::SPARSE_THRESHOLD`] unknowns
-//! use a dense LU factorisation with partial pivoting; larger ones use a
-//! no-pivot sparse LU with one-time symbolic factorisation, which demotes
-//! the analysis to dense LU on a bad pivot, so correctness never depends
-//! on the sparse path ([`linalg::SystemMatrix`]). The Newton loop stamps
+//! hundred unknowns, with about four nonzeros per matrix row. Every
+//! system, whatever its size, uses a no-pivot sparse LU with one-time
+//! symbolic factorisation, which demotes the analysis to a dense LU with
+//! partial pivoting on a bad pivot, so correctness never depends on the
+//! sparse path ([`linalg::SystemMatrix`]). The Newton loop stamps
 //! each time point's fixed part once and restamps only what moves with
 //! the iterate ([`HotPath`], [`Device::stamp_companions`]); see
 //! `DESIGN.md` §5.

@@ -1,7 +1,9 @@
-//! Linear algebra for MNA systems: dense partial-pivot LU, sparse no-pivot
-//! LU with reusable symbolic factorisation, and the [`SystemMatrix`]
-//! dispatcher that picks between them, counts sparse→dense demotions, and
-//! records/replays slot-resolved stamp tapes for zero-hash reassembly.
+//! Linear algebra for MNA systems: sparse no-pivot LU with reusable
+//! symbolic factorisation (every analysis starts on it), dense
+//! partial-pivot LU (the bad-pivot fallback and the reference tests
+//! compare against), and the [`SystemMatrix`] dispatcher that demotes
+//! from one to the other, counts the demotions, and records/replays
+//! slot-resolved stamp tapes for zero-hash reassembly.
 
 mod dense;
 mod sparse;
@@ -11,8 +13,9 @@ pub use sparse::SparseMatrix;
 
 use crate::error::CircuitError;
 
-/// Unknown-count threshold above which assembly defaults to the sparse
-/// backend (dense LU is faster below it and unconditionally robust).
+/// Unknown count that splits the benchmark's `circuit.us_per_step.dense`
+/// and `.sparse` buckets. The solver no longer reads it: every system
+/// starts on the sparse backend, whatever its size.
 pub const SPARSE_THRESHOLD: usize = 90;
 
 /// One recorded matrix write: coordinates (for replay verification) plus
@@ -107,9 +110,9 @@ enum Backend {
 ///
 /// Stamping code only needs [`SystemMatrix::add`] / [`SystemMatrix::clear`]
 /// / [`SystemMatrix::factor`] + [`SystemMatrix::substitute`] (or the
-/// combined [`SystemMatrix::solve_in_place`]); the backend is chosen once
-/// per analysis from the unknown count ([`SystemMatrix::auto`]). If the
-/// no-pivot sparse factorisation ever hits a bad pivot, the matrix is
+/// combined [`SystemMatrix::solve_in_place`]). Analyses start on the
+/// sparse backend at every size. If the no-pivot sparse factorisation
+/// ever hits a bad pivot, the matrix is
 /// demoted to dense partial-pivot LU for that and all subsequent steps —
 /// correctness never depends on the sparse path. Demotions are counted
 /// here (surfaced through `RecoveryStats::dense_demotions`) and bump the
@@ -126,16 +129,7 @@ pub struct SystemMatrix {
 }
 
 impl SystemMatrix {
-    /// Picks the backend appropriate for `n` unknowns.
-    pub fn auto(n: usize) -> Self {
-        if n >= SPARSE_THRESHOLD {
-            Self::sparse(n)
-        } else {
-            Self::dense(n)
-        }
-    }
-
-    /// Forces the dense backend (used by tests and the fallback path).
+    /// The dense backend: the reference tests compare against.
     pub fn dense(n: usize) -> Self {
         Self {
             backend: Backend::Dense(DenseMatrix::zeros(n)),
@@ -145,7 +139,7 @@ impl SystemMatrix {
         }
     }
 
-    /// Forces the sparse backend.
+    /// The sparse backend, which every analysis starts on.
     pub fn sparse(n: usize) -> Self {
         Self {
             backend: Backend::Sparse(SparseMatrix::zeros(n)),
@@ -409,12 +403,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn auto_picks_by_size() {
-        assert!(!SystemMatrix::auto(10).is_sparse());
-        assert!(SystemMatrix::auto(SPARSE_THRESHOLD).is_sparse());
-    }
-
-    #[test]
     fn sparse_falls_back_to_dense_on_bad_pivot() {
         // A permutation matrix defeats no-pivot LU but is trivially
         // solvable with partial pivoting.
@@ -426,6 +414,22 @@ mod tests {
         assert!((x[0] - 9.0).abs() < 1e-12);
         assert!((x[1] - 7.0).abs() < 1e-12);
         assert!(!m.is_sparse(), "demoted to dense after fallback");
+        assert_eq!(m.demotions(), 1);
+    }
+
+    #[test]
+    fn sparse_demotes_on_a_pivot_tiny_relative_to_its_row() {
+        // No-pivot LU on this matrix divides by 1e-20 and loses the
+        // answer to cancellation; partial pivoting solves it.
+        let mut m = SystemMatrix::sparse(2);
+        m.add(0, 0, 1e-20);
+        m.add(0, 1, 1.0);
+        m.add(1, 0, 1.0);
+        m.add(1, 1, 1.0);
+        let mut x = vec![1.0, 2.0];
+        m.solve_in_place(&mut x).expect("fallback solves");
+        assert!((x[0] - 1.0).abs() < 1e-12, "x0 = {}", x[0]);
+        assert!((x[1] - 1.0).abs() < 1e-12, "x1 = {}", x[1]);
         assert_eq!(m.demotions(), 1);
     }
 

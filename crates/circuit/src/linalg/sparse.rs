@@ -1,11 +1,12 @@
-//! Sparse LU solver for large MNA systems.
+//! Sparse LU solver for MNA systems of every size.
 //!
 //! The row testbenches pin every driver, so their MNA matrices are
 //! diagonally dominated conductance matrices with a handful of nonzeros per
 //! row (each node couples only to its neighbours plus a global match line).
-//! Dense LU costs O(n³); for the 300–600-unknown wide-word testbenches this
-//! dominates wall-clock time. This module implements the classic
-//! **up-looking row LU without pivoting**:
+//! Dense LU costs O(n³) to factor and O(n²) to substitute; this one costs
+//! O(nnz + fill), which wins from a few tens of unknowns up (the folded
+//! rows) to the hundreds of unfolded Monte Carlo rows. This module
+//! implements the classic **up-looking row LU without pivoting**:
 //!
 //! 1. a one-time *symbolic* pass computes the union pattern of every row of
 //!    `L`/`U` including fill-in, plus flat offsets into persistent factor
@@ -23,9 +24,10 @@
 //!
 //! No-pivot LU is safe here because every free node carries a positive
 //! `gmin` diagonal and device stamps only add non-negative diagonal
-//! conductance; if a pivot nevertheless collapses (e.g. exotic
-//! branch-source topologies), the caller falls back to the dense solver —
-//! see [`crate::linalg::SystemMatrix`].
+//! conductance. If a pivot nevertheless collapses to below `1e-10` of its
+//! row's largest stamped entry (e.g. exotic branch-source topologies), the
+//! caller falls back to the dense solver; see
+//! [`crate::linalg::SystemMatrix`].
 
 use std::collections::HashMap;
 
@@ -33,6 +35,11 @@ use crate::error::CircuitError;
 
 /// Threshold below which a pivot is treated as numerically singular.
 const PIVOT_TOL: f64 = 1e-300;
+
+/// A pivot smaller than this fraction of the largest `|a_ij|` in its row
+/// of the stamped matrix is rejected: eliminating with it would amplify
+/// rounding by more than the factor's precision can absorb.
+const PIVOT_REL_TOL: f64 = 1e-10;
 
 /// A sparse square matrix with a reusable no-pivot LU factorisation.
 #[derive(Debug, Clone)]
@@ -311,9 +318,9 @@ impl SparseMatrix {
     /// # Errors
     ///
     /// Returns [`CircuitError::SingularMatrix`] when a pivot falls below
-    /// the tolerance — the caller should fall back to dense partial-pivot
-    /// LU. A failed factorisation invalidates any previously stored
-    /// factors.
+    /// the absolute or the row-relative tolerance — the caller should fall
+    /// back to dense partial-pivot LU. A failed factorisation invalidates
+    /// any previously stored factors.
     pub fn factor(&mut self) -> Result<(), CircuitError> {
         self.ensure_symbolic();
         let symbolic = self.symbolic.as_ref().expect("just ensured");
@@ -330,8 +337,11 @@ impl SparseMatrix {
 
         for i in 0..n {
             // Scatter A[i, *].
+            let mut row_max: f64 = 0.0;
             for &(c, slot) in &symbolic.row_slots[i] {
-                self.work[c as usize] += self.values[slot as usize];
+                let v = self.values[slot as usize];
+                self.work[c as usize] += v;
+                row_max = row_max.max(v.abs());
             }
             // Eliminate against prior rows in ascending pivot order.
             let l_base = symbolic.l_off[i] as usize;
@@ -356,7 +366,7 @@ impl SparseMatrix {
                 self.work[j as usize] = 0.0;
             }
             let diag = self.u_vals[u_base];
-            if diag.abs() < PIVOT_TOL || !diag.is_finite() {
+            if diag.abs() < PIVOT_TOL.max(PIVOT_REL_TOL * row_max) || !diag.is_finite() {
                 return Err(CircuitError::SingularMatrix { pivot: i });
             }
         }
