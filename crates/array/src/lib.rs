@@ -14,9 +14,9 @@
 //!   including hierarchical early termination for the segmented design and
 //!   a [`PeripheralModel`] for drivers, sense amplifiers and the priority
 //!   encoder;
-//! * [`run_variation_mc`] — rebuild the row testbench per Monte-Carlo
-//!   sample with Gaussian FeFET threshold-voltage shifts and measure sense
-//!   margins and search-failure rates.
+//! * [`VariationPoint`] / [`McResult`] — rebuild the row testbench per
+//!   Monte-Carlo sample with Gaussian FeFET threshold-voltage shifts and
+//!   assemble sense margins and search-failure rates in sample order.
 //!
 //! # Example
 //!
@@ -47,8 +47,6 @@ pub use array::{ArrayModel, ArrayParams};
 pub use calibrate::{
     calibrate_row, CacheStats, CalibrationCache, RowCalibration, StageCalibration,
 };
-#[cfg(feature = "fault-injection")]
-pub use montecarlo::run_variation_mc_with_newton;
-pub use montecarlo::{run_variation_mc, McResult, McSolverFailure, VariationParams};
+pub use montecarlo::{McResult, McSample, McSolverFailure, VariationParams, VariationPoint};
 pub use periph::PeripheralModel;
 pub use standby::{Retention, StandbyProfile};

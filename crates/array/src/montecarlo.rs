@@ -11,15 +11,15 @@
 //!
 //! Extreme σ(V_th) sweeps deliberately push the solver into regimes where
 //! some samples diverge. A diverging (or even panicking) sample must not
-//! cost the other N−1: each sample runs under panic isolation and failures
-//! are reported per sample in [`McResult::solver_failures`], *distinct*
-//! from decision failures (a converged sample whose search decided
-//! wrongly). Margin vectors hold the surviving samples only, in sample
-//! order, so results stay bit-identical for any thread count.
+//! cost the other N−1, so every sample is its own call of
+//! [`VariationPoint::sample`]: the caller runs them (the `ftcam-core` fig7
+//! driver makes each one an executor job, which confines a panic to its
+//! sample) and [`McResult::from_outcomes`] reports failures per sample in
+//! [`McResult::solver_failures`], *distinct* from decision failures (a
+//! converged sample whose search decided wrongly). Margin vectors hold the
+//! surviving samples only, in sample order, so results stay bit-identical
+//! however the samples were scheduled.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use crossbeam::thread;
 use ftcam_cells::{CellError, DesignKind, Geometry, NewtonSettings, RowTestbench, SearchTiming};
 use ftcam_devices::TechCard;
 use ftcam_workloads::{Ternary, TernaryWord};
@@ -36,8 +36,6 @@ pub struct VariationParams {
     pub samples: usize,
     /// RNG seed (deterministic across runs and thread counts).
     pub seed: u64,
-    /// Worker threads (samples are distributed deterministically).
-    pub threads: usize,
 }
 
 impl Default for VariationParams {
@@ -46,13 +44,12 @@ impl Default for VariationParams {
             sigma_vth: 0.05,
             samples: 200,
             seed: 0x5eed_f00d,
-            threads: 4,
         }
     }
 }
 
 /// A sample that produced no decision: the transistor-level solve failed
-/// (divergence, step underflow) or the worker panicked.
+/// (divergence, step underflow) or the sample panicked.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct McSolverFailure {
     /// Zero-based sample index (stable across thread counts).
@@ -74,17 +71,44 @@ pub struct McResult {
     pub failures: usize,
     /// Total samples attempted (survivors + solver failures).
     pub samples: usize,
-    /// Samples lost to solver failures or worker panics, by index.
+    /// Samples lost to solver failures or panics, by index.
     pub solver_failures: Vec<McSolverFailure>,
 }
 
 impl McResult {
+    /// Assembles per-sample outcomes, given in sample order: a sample's
+    /// rendered error (solver failure or panic) becomes an indexed
+    /// [`McSolverFailure`], and every other sample contributes its margin
+    /// pair.
+    pub fn from_outcomes(outcomes: impl IntoIterator<Item = Result<McSample, String>>) -> Self {
+        let mut r = Self {
+            match_margins: Vec::new(),
+            mismatch_margins: Vec::new(),
+            failures: 0,
+            samples: 0,
+            solver_failures: Vec::new(),
+        };
+        for (sample, outcome) in outcomes.into_iter().enumerate() {
+            r.samples += 1;
+            match outcome {
+                Ok(m) => {
+                    r.match_margins.push(m.match_margin);
+                    r.mismatch_margins.push(m.mismatch_margin);
+                    r.failures += usize::from(m.decision_failed);
+                }
+                Err(error) => r.solver_failures.push(McSolverFailure { sample, error }),
+            }
+        }
+        r
+    }
+
     /// Samples that produced a decision (attempted minus solver failures).
     pub fn evaluated(&self) -> usize {
         self.samples - self.solver_failures.len()
     }
 
-    /// Search failure rate among evaluated samples, in `[0, 1]`.
+    /// Search failure rate among evaluated samples, in `[0, 1]`; 0 when
+    /// none was evaluated, so callers check [`McResult::evaluated`] first.
     pub fn failure_rate(&self) -> f64 {
         if self.evaluated() == 0 {
             return 0.0;
@@ -93,7 +117,7 @@ impl McResult {
     }
 
     /// Mean of the worst (minimum) per-sample margin over evaluated
-    /// samples.
+    /// samples; 0 when none was evaluated.
     pub fn mean_worst_margin(&self) -> f64 {
         if self.evaluated() == 0 {
             return 0.0;
@@ -139,209 +163,156 @@ fn gaussian<R: Rng>(rng: &mut R) -> f64 {
     }
 }
 
-/// Renders a panic payload the way the panic hook would.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// One evaluated sample: the sense margins of its full-match and
+/// 1-bit-mismatch searches (volts, negative when that search decided
+/// wrongly) and whether either decision was wrong.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct McSample {
+    /// Sense margin of the full-match search.
+    pub match_margin: f64,
+    /// Sense margin of the 1-bit-mismatch search.
+    pub mismatch_margin: f64,
+    /// Either search decided wrongly.
+    pub decision_failed: bool,
 }
 
-/// `(match margin, mismatch margin, decision failed)` or a rendered error.
-type SampleOutcome = Result<(f64, f64, bool), String>;
-
-/// Runs the variation Monte Carlo for one design.
+/// One Monte-Carlo point: a FeFET design at one σ(V_th), with the stored
+/// word and its 1-bit-mismatch query built once for every sample.
 ///
-/// Only FeFET-based designs expose a threshold-shift knob; other designs
-/// return an error. Per-sample solver failures and panics do **not** fail
-/// the run — they are collected in [`McResult::solver_failures`] while
-/// every surviving sample contributes its full margin pair.
-///
-/// # Errors
-///
-/// * [`CellError::UnsupportedOperation`] for non-FeFET designs.
-pub fn run_variation_mc(
+/// Samples are independent calls of [`VariationPoint::sample`], so the
+/// caller decides how to schedule them; [`McResult::from_outcomes`]
+/// assembles the outcomes in sample order.
+#[derive(Debug, Clone)]
+pub struct VariationPoint {
     kind: DesignKind,
-    card: &TechCard,
-    geometry: &Geometry,
-    timing: &SearchTiming,
-    width: usize,
-    params: &VariationParams,
-) -> Result<McResult, CellError> {
-    run_variation_mc_inner(kind, card, geometry, timing, width, params, &|_| {
-        NewtonSettings::default()
-    })
+    card: TechCard,
+    geometry: Geometry,
+    timing: SearchTiming,
+    params: VariationParams,
+    stored: TernaryWord,
+    miss: TernaryWord,
 }
 
-/// [`run_variation_mc`] with a per-sample Newton-settings override — the
-/// chaos-test entry point for injecting solver faults into selected
-/// samples (see `ftcam_cells::FaultPlan`).
-#[cfg(feature = "fault-injection")]
-pub fn run_variation_mc_with_newton(
-    kind: DesignKind,
-    card: &TechCard,
-    geometry: &Geometry,
-    timing: &SearchTiming,
-    width: usize,
-    params: &VariationParams,
-    newton_for_sample: &(dyn Fn(usize) -> NewtonSettings + Sync),
-) -> Result<McResult, CellError> {
-    run_variation_mc_inner(
-        kind,
-        card,
-        geometry,
-        timing,
-        width,
-        params,
-        newton_for_sample,
-    )
-}
-
-fn run_variation_mc_inner(
-    kind: DesignKind,
-    card: &TechCard,
-    geometry: &Geometry,
-    timing: &SearchTiming,
-    width: usize,
-    params: &VariationParams,
-    newton_for_sample: &(dyn Fn(usize) -> NewtonSettings + Sync),
-) -> Result<McResult, CellError> {
-    if kind.instantiate().features().segments > 1 {
-        // Supported, but margins come from the first segment only; keep the
-        // straightforward designs for the figure the paper reports.
-    }
-    if !kind.instantiate().supports_transient_write() {
-        return Err(CellError::UnsupportedOperation(format!(
-            "variation MC needs FeFET threshold knobs; {} has none",
-            kind.key()
-        )));
-    }
-    let stored: TernaryWord = (0..width)
-        .map(|i| {
-            if i % 2 == 0 {
-                Ternary::One
-            } else {
-                Ternary::Zero
-            }
+impl VariationPoint {
+    /// Checks the design and builds the point's search words.
+    ///
+    /// # Errors
+    ///
+    /// * [`CellError::UnsupportedOperation`] for designs without FeFET
+    ///   threshold knobs (the volatile baselines);
+    /// * [`CellError::InvalidParameter`] for a zero width.
+    pub fn new(
+        kind: DesignKind,
+        card: &TechCard,
+        geometry: &Geometry,
+        timing: &SearchTiming,
+        width: usize,
+        params: VariationParams,
+    ) -> Result<Self, CellError> {
+        if !kind.instantiate().supports_transient_write() {
+            return Err(CellError::UnsupportedOperation(format!(
+                "variation MC needs FeFET threshold knobs; {} has none",
+                kind.key()
+            )));
+        }
+        if width == 0 {
+            return Err(CellError::InvalidParameter("width must be positive".into()));
+        }
+        let stored: TernaryWord = (0..width)
+            .map(|i| {
+                if i % 2 == 0 {
+                    Ternary::One
+                } else {
+                    Ternary::Zero
+                }
+            })
+            .collect();
+        let miss = {
+            // Flip the last digit so segmented designs exercise their final
+            // (worst-margin) stage too.
+            let mut q = stored.clone();
+            q.set(width - 1, q.get(width - 1).complement());
+            q
+        };
+        Ok(Self {
+            kind,
+            card: card.clone(),
+            geometry: geometry.clone(),
+            timing: timing.clone(),
+            params,
+            stored,
+            miss,
         })
-        .collect();
-    let miss = {
-        // Flip the last digit so segmented designs exercise their final
-        // (worst-margin) stage too.
-        let mut q = stored.clone();
-        q.set(width - 1, q.get(width - 1).complement());
-        q
-    };
+    }
 
-    // One closed-over sample evaluation, panic-isolated at the call site.
-    let eval_sample = |s: usize| -> Result<(f64, f64, bool), CellError> {
-        // Deterministic per-sample stream, independent of the thread
-        // partition.
-        let mut rng = ChaCha8Rng::seed_from_u64(params.seed ^ (s as u64).wrapping_mul(0x9e37_79b9));
-        let mut row = RowTestbench::new(kind.instantiate(), card.clone(), geometry.clone(), width)?;
-        row.set_newton_settings(newton_for_sample(s));
-        row.program_word(&stored)?;
+    /// Number of samples the point's parameters ask for.
+    pub fn samples(&self) -> usize {
+        self.params.samples
+    }
+
+    /// Runs sample `s`: rebuilds the row, programs the stored word, shifts
+    /// every FeFET threshold by its Gaussian draw and searches the stored
+    /// word and the 1-bit miss. Sample `s` draws from its own RNG stream,
+    /// so its outcome does not depend on which other samples ran.
+    ///
+    /// # Errors
+    ///
+    /// Propagates row construction and simulation failures.
+    pub fn sample(&self, s: usize, newton: NewtonSettings) -> Result<McSample, CellError> {
+        let width = self.stored.width();
+        let mut rng =
+            ChaCha8Rng::seed_from_u64(self.params.seed ^ (s as u64).wrapping_mul(0x9e37_79b9));
+        let mut row = RowTestbench::new(
+            self.kind.instantiate(),
+            self.card.clone(),
+            self.geometry.clone(),
+            width,
+        )?;
+        row.set_newton_settings(newton);
+        row.program_word(&self.stored)?;
         let deltas: Vec<f64> = (0..2 * width)
-            .map(|_| params.sigma_vth * gaussian(&mut rng))
+            .map(|_| self.params.sigma_vth * gaussian(&mut rng))
             .collect();
         row.apply_fefet_vth_shift(&deltas);
 
-        let hit = row.search(&stored, timing)?;
-        let m_hit = if hit.matched {
-            hit.sense_margin
-        } else {
-            -hit.sense_margin
-        };
-        let missr = row.search(&miss, timing)?;
-        let m_miss = if missr.matched {
-            -missr.sense_margin
-        } else {
-            missr.sense_margin
-        };
-        Ok((m_hit, m_miss, !hit.matched || missr.matched))
-    };
-
-    let threads = params.threads.clamp(1, params.samples.max(1));
-    let chunk = params.samples.div_ceil(threads);
-    let outcomes: Vec<SampleOutcome> = thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let begin = t * chunk;
-            let end = ((t + 1) * chunk).min(params.samples);
-            if begin >= end {
-                break;
-            }
-            let eval_sample = &eval_sample;
-            let handle = scope.spawn(move |_| -> Vec<SampleOutcome> {
-                (begin..end)
-                    .map(
-                        |s| match catch_unwind(AssertUnwindSafe(|| eval_sample(s))) {
-                            Ok(Ok(v)) => Ok(v),
-                            Ok(Err(e)) => Err(e.to_string()),
-                            Err(payload) => {
-                                Err(format!("sample panicked: {}", panic_message(&*payload)))
-                            }
-                        },
-                    )
-                    .collect()
-            });
-            handles.push((begin, end, handle));
-        }
-        // Chunks are pushed and joined in sample order, so the assembled
-        // vector is index-ordered regardless of thread interleaving. A
-        // worker that dies outside the per-sample isolation (should be
-        // unreachable) forfeits its whole chunk as per-sample failures
-        // rather than aborting the process.
-        let mut all = Vec::with_capacity(params.samples);
-        for (begin, end, handle) in handles {
-            match handle.join() {
-                Ok(chunk_outcomes) => all.extend(chunk_outcomes),
-                Err(payload) => {
-                    let msg = format!("mc worker panicked: {}", panic_message(&*payload));
-                    all.extend((begin..end).map(|_| Err(msg.clone())));
-                }
-            }
-        }
-        all
-    })
-    .unwrap_or_else(|payload| {
-        // The scope closure itself cannot panic (joins are handled above),
-        // but degrade to all-failed rather than aborting if it ever does.
-        let msg = format!("mc scope panicked: {}", panic_message(&*payload));
-        (0..params.samples).map(|_| Err(msg.clone())).collect()
-    });
-
-    let mut match_margins = Vec::with_capacity(params.samples);
-    let mut mismatch_margins = Vec::with_capacity(params.samples);
-    let mut failures = 0usize;
-    let mut solver_failures = Vec::new();
-    for (sample, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            Ok((m_hit, m_miss, decision_failed)) => {
-                match_margins.push(m_hit);
-                mismatch_margins.push(m_miss);
-                if decision_failed {
-                    failures += 1;
-                }
-            }
-            Err(error) => solver_failures.push(McSolverFailure { sample, error }),
-        }
+        let hit = row.search(&self.stored, &self.timing)?;
+        let missr = row.search(&self.miss, &self.timing)?;
+        Ok(McSample {
+            match_margin: if hit.matched {
+                hit.sense_margin
+            } else {
+                -hit.sense_margin
+            },
+            mismatch_margin: if missr.matched {
+                -missr.sense_margin
+            } else {
+                missr.sense_margin
+            },
+            decision_failed: !hit.matched || missr.matched,
+        })
     }
-    Ok(McResult {
-        match_margins,
-        mismatch_margins,
-        failures,
-        samples: params.samples,
-        solver_failures,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs every sample of one point serially, in sample order.
+    fn run(kind: DesignKind, width: usize, params: VariationParams) -> Result<McResult, CellError> {
+        let point = VariationPoint::new(
+            kind,
+            &TechCard::hp45(),
+            &Geometry::default(),
+            &SearchTiming::fast(),
+            width,
+            params,
+        )?;
+        Ok(McResult::from_outcomes((0..point.samples()).map(|s| {
+            point
+                .sample(s, NewtonSettings::default())
+                .map_err(|e| e.to_string())
+        })))
+    }
 
     #[test]
     fn gaussian_has_zero_mean_unit_std() {
@@ -358,17 +329,8 @@ mod tests {
             sigma_vth: 0.0,
             samples: 3,
             seed: 1,
-            threads: 2,
         };
-        let r = run_variation_mc(
-            DesignKind::FeFet2T,
-            &TechCard::hp45(),
-            &Geometry::default(),
-            &SearchTiming::fast(),
-            8,
-            &params,
-        )
-        .unwrap();
+        let r = run(DesignKind::FeFet2T, 8, params).unwrap();
         assert_eq!(r.samples, 3);
         assert_eq!(r.evaluated(), 3);
         assert_eq!(r.failures, 0);
@@ -385,17 +347,13 @@ mod tests {
             sigma_vth: 0.0,
             samples: 4,
             seed: 2,
-            threads: 2,
         };
         let noisy = VariationParams {
             sigma_vth: 0.08,
             ..base.clone()
         };
-        let card = TechCard::hp45();
-        let geo = Geometry::default();
-        let t = SearchTiming::fast();
-        let r0 = run_variation_mc(DesignKind::FeFet2T, &card, &geo, &t, 8, &base).unwrap();
-        let r1 = run_variation_mc(DesignKind::FeFet2T, &card, &geo, &t, 8, &noisy).unwrap();
+        let r0 = run(DesignKind::FeFet2T, 8, base).unwrap();
+        let r1 = run(DesignKind::FeFet2T, 8, noisy).unwrap();
         let (_, s0) = r1.mismatch_margin_stats();
         let (_, s_base) = r0.mismatch_margin_stats();
         assert!(s0 > s_base, "noisy std {s0} vs base {s_base}");
@@ -403,32 +361,13 @@ mod tests {
 
     #[test]
     fn volatile_designs_are_rejected() {
-        let err = run_variation_mc(
-            DesignKind::Cmos16T,
-            &TechCard::hp45(),
-            &Geometry::default(),
-            &SearchTiming::fast(),
-            4,
-            &VariationParams::default(),
-        );
+        let err = run(DesignKind::Cmos16T, 4, VariationParams::default());
         assert!(matches!(err, Err(CellError::UnsupportedOperation(_))));
     }
 
     #[test]
-    fn deterministic_across_thread_counts() {
-        let card = TechCard::hp45();
-        let geo = Geometry::default();
-        let t = SearchTiming::fast();
-        let mk = |threads| VariationParams {
-            sigma_vth: 0.05,
-            samples: 4,
-            seed: 7,
-            threads,
-        };
-        let a = run_variation_mc(DesignKind::FeFet2T, &card, &geo, &t, 8, &mk(1)).unwrap();
-        let b = run_variation_mc(DesignKind::FeFet2T, &card, &geo, &t, 8, &mk(4)).unwrap();
-        assert_eq!(a.match_margins, b.match_margins);
-        assert_eq!(a.failures, b.failures);
-        assert_eq!(a.solver_failures, b.solver_failures);
+    fn zero_width_is_rejected() {
+        let err = run(DesignKind::FeFet2T, 0, VariationParams::default());
+        assert!(matches!(err, Err(CellError::InvalidParameter(_))));
     }
 }

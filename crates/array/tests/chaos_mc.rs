@@ -1,53 +1,51 @@
 //! Chaos tests for the partial-results Monte Carlo (requires
-//! `--features fault-injection`): injected solver faults and panics must
-//! surface as per-sample [`ftcam_array::McSolverFailure`] entries — with
-//! the failing sample's index — while every surviving sample keeps its
-//! full margin pair.
+//! `--features fault-injection`): injected solver faults must surface as
+//! per-sample [`ftcam_array::McSolverFailure`] entries — with the failing
+//! sample's index — while every surviving sample keeps its full margin
+//! pair. Panic isolation and executor-width invariance are checked where
+//! samples run as executor jobs (`ftcam-core`'s `chaos_mc` tests).
 
-use ftcam_array::{run_variation_mc, run_variation_mc_with_newton, VariationParams};
+use ftcam_array::{McResult, VariationParams, VariationPoint};
 use ftcam_cells::{DesignKind, FaultMode, FaultPlan, Geometry, NewtonSettings, SearchTiming};
 use ftcam_devices::TechCard;
 
-fn params(samples: usize, threads: usize) -> VariationParams {
-    VariationParams {
-        // Deliberately pathological σ(V_th): 400 mV is far beyond any
-        // published FeFET spread. The recovery ladder absorbs even this
-        // (see DESIGN.md §6), so unrecoverable divergence is injected via
-        // FaultPlan to make the partial-results path deterministic.
-        sigma_vth: 0.4,
-        samples,
-        seed: 3,
-        threads,
-    }
-}
-
-fn run_with_plan_on(
-    plan: FaultPlan,
-    poisoned: &'static [usize],
-    samples: usize,
-    threads: usize,
-) -> ftcam_array::McResult {
-    run_variation_mc_with_newton(
+fn point(samples: usize) -> VariationPoint {
+    VariationPoint::new(
         DesignKind::FeFet2T,
         &TechCard::hp45(),
         &Geometry::default(),
         &SearchTiming::fast(),
         8,
-        &params(samples, threads),
-        &move |s| {
-            if poisoned.contains(&s) {
-                NewtonSettings::default().with_fault(plan)
-            } else {
-                NewtonSettings::default()
-            }
+        VariationParams {
+            // Deliberately pathological σ(V_th): 400 mV is far beyond any
+            // published FeFET spread. The recovery ladder absorbs even this
+            // (see DESIGN.md §6), so unrecoverable divergence is injected
+            // via FaultPlan to make the partial-results path deterministic.
+            sigma_vth: 0.4,
+            samples,
+            seed: 3,
         },
     )
     .unwrap()
 }
 
+/// Runs every sample serially, in sample order, with `plan` injected into
+/// the samples listed in `poisoned`.
+fn run_with_plan_on(plan: FaultPlan, poisoned: &[usize], samples: usize) -> McResult {
+    let point = point(samples);
+    McResult::from_outcomes((0..samples).map(|s| {
+        let newton = if poisoned.contains(&s) {
+            NewtonSettings::default().with_fault(plan)
+        } else {
+            NewtonSettings::default()
+        };
+        point.sample(s, newton).map_err(|e| e.to_string())
+    }))
+}
+
 #[test]
 fn diverging_samples_surface_as_indexed_solver_failures() {
-    let r = run_with_plan_on(FaultPlan::new(FaultMode::DivergeAlways), &[0, 3], 6, 2);
+    let r = run_with_plan_on(FaultPlan::new(FaultMode::DivergeAlways), &[0, 3], 6);
     assert_eq!(r.samples, 6);
     assert_eq!(r.evaluated(), 4);
     let failed: Vec<usize> = r.solver_failures.iter().map(|f| f.sample).collect();
@@ -66,46 +64,14 @@ fn diverging_samples_surface_as_indexed_solver_failures() {
 }
 
 #[test]
-fn panicking_sample_is_isolated_not_process_fatal() {
-    let r = run_with_plan_on(FaultPlan::new(FaultMode::PanicOnSolve), &[2], 4, 2);
-    assert_eq!(r.samples, 4);
-    assert_eq!(r.solver_failures.len(), 1);
-    assert_eq!(r.solver_failures[0].sample, 2);
-    assert!(
-        r.solver_failures[0].error.contains("panicked"),
-        "error should record the panic: {}",
-        r.solver_failures[0].error
-    );
-    assert_eq!(r.match_margins.len(), 3);
-}
-
-#[test]
 fn survivors_match_the_unfaulted_run_sample_for_sample() {
     // Per-sample RNG streams are independent of which samples fail, so
     // killing sample 1 must leave samples 0/2/3 bit-identical.
-    let clean = run_variation_mc(
-        DesignKind::FeFet2T,
-        &TechCard::hp45(),
-        &Geometry::default(),
-        &SearchTiming::fast(),
-        8,
-        &params(4, 2),
-    )
-    .unwrap();
-    let faulted = run_with_plan_on(FaultPlan::new(FaultMode::DivergeAlways), &[1], 4, 2);
+    let clean = run_with_plan_on(FaultPlan::new(FaultMode::DivergeAlways), &[], 4);
+    let faulted = run_with_plan_on(FaultPlan::new(FaultMode::DivergeAlways), &[1], 4);
     let expected: Vec<f64> = [0usize, 2, 3]
         .iter()
         .map(|&s| clean.match_margins[s])
         .collect();
     assert_eq!(faulted.match_margins, expected);
-}
-
-#[test]
-fn partial_results_are_thread_count_invariant() {
-    let a = run_with_plan_on(FaultPlan::new(FaultMode::DivergeAlways), &[1, 4], 5, 1);
-    let b = run_with_plan_on(FaultPlan::new(FaultMode::DivergeAlways), &[1, 4], 5, 3);
-    assert_eq!(a.match_margins, b.match_margins);
-    assert_eq!(a.mismatch_margins, b.mismatch_margins);
-    assert_eq!(a.solver_failures, b.solver_failures);
-    assert_eq!(a.failures, b.failures);
 }

@@ -1,9 +1,10 @@
 //! Parallel sweep execution engine.
 //!
 //! Every experiment driver decomposes its sweep into independent jobs —
-//! one per `(design, width, point)` tuple or similar — and hands them to
-//! an [`Executor`], which fans them out over a crossbeam scoped-thread
-//! work queue and reassembles the results **in item order**. Because each
+//! one per `(design, width, point)` tuple, per Monte-Carlo sample, or
+//! similar — and hands them to an [`Executor`], which fans them out over a
+//! `std::thread::scope` work queue and reassembles the results **in item
+//! order**. It is the workspace's only parallel runtime. Because each
 //! job is a pure function of its input and assembly order is fixed,
 //! artifacts are bit-identical regardless of the thread count; only the
 //! wall-clock changes.
@@ -208,9 +209,9 @@ impl Executor {
         } else {
             let next = AtomicUsize::new(0);
             let (next, slots_ref, run_ref) = (&next, &slots, &run_one);
-            crossbeam::thread::scope(|s| {
+            std::thread::scope(|s| {
                 for _ in 0..workers {
-                    s.spawn(move |_| loop {
+                    s.spawn(move || loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
                             break;
@@ -219,8 +220,7 @@ impl Executor {
                         debug_assert!(filled, "slot {i} filled twice");
                     });
                 }
-            })
-            .expect("executor worker panicked");
+            });
         }
         let run_nanos = started.elapsed().as_nanos() as u64;
 

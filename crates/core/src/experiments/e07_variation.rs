@@ -1,10 +1,10 @@
 //! E7 / Fig. 7 — threshold-variation Monte Carlo: search failure rate and
 //! worst-case sense margin vs σ(V_th).
 
-use ftcam_array::{run_variation_mc, VariationParams};
-use ftcam_cells::{CellError, DesignKind};
+use ftcam_array::{McResult, VariationParams, VariationPoint};
+use ftcam_cells::{CellError, DesignKind, NewtonSettings};
 
-use crate::exec::ItemError;
+use crate::exec::Executor;
 use crate::report::{Artifact, Figure};
 use crate::Evaluator;
 
@@ -19,13 +19,6 @@ pub struct Params {
     pub samples: usize,
     /// FeFET designs to include (volatile designs have no V_th knob here).
     pub designs: Vec<DesignKind>,
-    /// Worker threads for the *inner* Monte-Carlo loop of each point.
-    ///
-    /// The evaluator's executor already fans the `(design, σ)` points out
-    /// across cores, so this defaults to 1; raising it nests parallelism
-    /// (the MC result is deterministic either way — samples are assembled
-    /// by index).
-    pub threads: usize,
     /// RNG seed.
     pub seed: u64,
 }
@@ -41,7 +34,6 @@ impl Default for Params {
                 DesignKind::EaLowSwing,
                 DesignKind::EaFull,
             ],
-            threads: 1,
             seed: 0x7a11,
         }
     }
@@ -72,55 +64,64 @@ pub fn run(eval: &Evaluator, params: &Params) -> Result<Artifact, CellError> {
         "failure rate (–) / margin (V)",
         params.sigmas.clone(),
     );
-    // One job per (design, σ) point — each MC run is seeded per point and
-    // independent of its neighbours.
     let points: Vec<(DesignKind, f64)> = params
         .designs
         .iter()
         .flat_map(|&kind| params.sigmas.iter().map(move |&sigma| (kind, sigma)))
         .collect();
-    // Partial-results semantics: a point whose every MC sample diverges (or
-    // that panics outright) becomes a NaN cell plus a note, instead of
-    // discarding the rest of the sweep. Per-sample solver failures inside a
-    // surviving point are summed and reported alongside.
-    let outcomes = eval.executor().run_partial(&points, |_, &(kind, sigma)| {
-        let mc = run_variation_mc(
-            kind,
-            eval.card(),
-            eval.geometry(),
-            eval.timing(),
-            params.width,
-            &VariationParams {
-                sigma_vth: sigma,
-                samples: params.samples,
-                seed: params.seed,
-                threads: params.threads,
-            },
-        )?;
-        Ok::<_, CellError>((
-            mc.failure_rate(),
-            mc.mean_worst_margin(),
-            mc.solver_failures.len(),
-        ))
-    });
+    // One Monte-Carlo point per (design, σ), each sample of each point one
+    // executor job: samples draw from their own seeded streams, so they
+    // are independent of each other and of the schedule.
+    let built: Vec<Result<VariationPoint, CellError>> = points
+        .iter()
+        .map(|&(kind, sigma)| {
+            VariationPoint::new(
+                kind,
+                eval.card(),
+                eval.geometry(),
+                eval.timing(),
+                params.width,
+                VariationParams {
+                    sigma_vth: sigma,
+                    samples: params.samples,
+                    seed: params.seed,
+                },
+            )
+        })
+        .collect();
+    let runnable: Vec<&VariationPoint> = built.iter().filter_map(|p| p.as_ref().ok()).collect();
+    let mut results =
+        run_samples(&eval.executor(), &runnable, |_| NewtonSettings::default()).into_iter();
+    // Partial-results semantics: a point that cannot run, or whose every
+    // sample was lost, becomes a NaN cell plus a note instead of discarding
+    // the rest of the sweep. Samples lost inside a surviving point are
+    // summed and reported alongside.
     let mut solver_failures = 0usize;
     let mut point_failures: Vec<String> = Vec::new();
-    let stats: Vec<(f64, f64)> = outcomes
-        .into_iter()
+    let stats: Vec<(f64, f64)> = built
+        .iter()
         .zip(&points)
-        .map(|(outcome, &(kind, sigma))| match outcome {
-            Ok((fail, margin, lost)) => {
-                solver_failures += lost;
-                (fail, margin)
-            }
-            Err(e) => {
-                let cause = match e {
-                    ItemError::Failed(err) => err.to_string(),
-                    ItemError::Panicked(msg) => format!("panicked: {msg}"),
-                };
+        .map(|(point, &(kind, sigma))| {
+            let cells = match point {
+                Err(e) => Err(e.to_string()),
+                Ok(_) => {
+                    let mc = results.next().expect("one result per runnable point");
+                    solver_failures += mc.solver_failures.len();
+                    if mc.evaluated() > 0 {
+                        Ok((mc.failure_rate(), mc.mean_worst_margin()))
+                    } else {
+                        let first = mc
+                            .solver_failures
+                            .first()
+                            .map_or("none was run", |f| f.error.as_str());
+                        Err(format!("all {} sample(s) lost; first: {first}", mc.samples))
+                    }
+                }
+            };
+            cells.unwrap_or_else(|cause| {
                 point_failures.push(format!("{} at σ = {sigma} V: {cause}", kind.key()));
                 (f64::NAN, f64::NAN)
-            }
+            })
         })
         .collect();
     for (di, &kind) in params.designs.iter().enumerate() {
@@ -148,6 +149,38 @@ pub fn run(eval: &Evaluator, params: &Params) -> Result<Artifact, CellError> {
     Ok(Artifact::Figure(fig))
 }
 
+/// Runs every sample of every point as one [`Executor::run_partial`] job
+/// and assembles each point's [`McResult`] in sample order, points in the
+/// order given. `newton(s)` gives sample `s`'s solver settings in every
+/// point (chaos tests inject faults through it). A failed or panicking job
+/// costs only its own sample: it becomes that sample's
+/// [`ftcam_array::McSolverFailure`].
+pub fn run_samples(
+    exec: &Executor,
+    points: &[&VariationPoint],
+    newton: impl Fn(usize) -> NewtonSettings + Sync,
+) -> Vec<McResult> {
+    let jobs: Vec<(usize, usize)> = points
+        .iter()
+        .enumerate()
+        .flat_map(|(p, point)| (0..point.samples()).map(move |s| (p, s)))
+        .collect();
+    let mut outcomes = exec
+        .run_partial(&jobs, |_, &(p, s)| points[p].sample(s, newton(s)))
+        .into_iter();
+    points
+        .iter()
+        .map(|point| {
+            McResult::from_outcomes(
+                outcomes
+                    .by_ref()
+                    .take(point.samples())
+                    .map(|o| o.map_err(|e| e.to_string())),
+            )
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,7 +193,6 @@ mod tests {
             width: 8,
             samples: 2,
             designs: vec![DesignKind::FeFet2T, DesignKind::EaLowSwing],
-            threads: 2,
             seed: 1,
         };
         let Artifact::Figure(fig) = run(&eval, &params).unwrap() else {
@@ -177,5 +209,68 @@ mod tests {
             margin("ea-ls") < margin("fefet2t"),
             "low-swing margin must be smaller"
         );
+    }
+
+    #[test]
+    fn a_point_that_loses_every_sample_reads_as_nan_with_its_first_error() {
+        // A zero time step fails every sample's search, not the point.
+        let eval = Evaluator::new(
+            ftcam_devices::TechCard::hp45(),
+            ftcam_cells::Geometry::default(),
+            ftcam_cells::SearchTiming {
+                dt: 0.0,
+                ..ftcam_cells::SearchTiming::fast()
+            },
+        );
+        let params = Params {
+            sigmas: vec![0.05],
+            width: 4,
+            samples: 2,
+            designs: vec![DesignKind::FeFet2T],
+            ..Params::default()
+        };
+        let Artifact::Figure(fig) = run(&eval, &params).unwrap() else {
+            panic!("expected figure")
+        };
+        for series in &fig.series {
+            assert!(series.y[0].is_nan(), "{} should be NaN", series.name);
+        }
+        assert!(
+            fig.notes.iter().any(
+                |n| n.starts_with("failed point: fefet2t") && n.contains("dt must be positive")
+            ),
+            "the lost point must quote its first sample error: {:?}",
+            fig.notes
+        );
+    }
+
+    #[test]
+    fn samples_are_identical_for_any_executor_width() {
+        let eval = Evaluator::quick();
+        let point = |sigma_vth| {
+            VariationPoint::new(
+                DesignKind::FeFet2T,
+                eval.card(),
+                eval.geometry(),
+                eval.timing(),
+                8,
+                VariationParams {
+                    sigma_vth,
+                    samples: 4,
+                    seed: 7,
+                },
+            )
+            .unwrap()
+        };
+        let (low, high) = (point(0.05), point(0.15));
+        let run_on = |threads| {
+            run_samples(&Executor::new(threads), &[&low, &high], |_| {
+                NewtonSettings::default()
+            })
+        };
+        let (a, b) = (run_on(1), run_on(4));
+        assert_eq!(a.len(), 2);
+        assert_eq!(a, b);
+        assert_eq!(a[0].samples, 4);
     }
 }

@@ -8,7 +8,6 @@
 
 use ftcam_array::calibrate_row;
 use ftcam_cells::{CellError, DesignKind};
-use ftcam_units::Celsius;
 
 use crate::report::{Artifact, Figure};
 use crate::Evaluator;
@@ -67,7 +66,7 @@ pub fn run(eval: &Evaluator, params: &Params) -> Result<Artifact, CellError> {
         .flat_map(|&kind| params.temperatures.iter().map(move |&t| (kind, t)))
         .collect();
     let cells = eval.executor().run(&corners, |_, &(kind, t)| {
-        let card = eval.card().at_temperature(Celsius::new(t));
+        let card = eval.card().at_temperature(t);
         match calibrate_row(kind, &card, eval.geometry(), eval.timing(), params.width) {
             Ok(calib) => Ok(Some((
                 calib.row_energy(params.width / 2) / params.width as f64 * 1e15,

@@ -46,9 +46,9 @@ fn e07_with_a_poisoned_point_keeps_every_other_point() {
     let params = e07_variation::Params {
         sigmas: vec![0.05, 0.15],
         width: 4,
-        samples: 2,
+        // One sample per point, so executor item 1 is point 1's only sample.
+        samples: 1,
         designs: vec![ftcam_cells::DesignKind::FeFet2T],
-        threads: 1,
         seed: 7,
     };
     let clean_eval = Evaluator::quick().with_threads(2);
@@ -56,9 +56,9 @@ fn e07_with_a_poisoned_point_keeps_every_other_point() {
         panic!("expected figure")
     };
 
-    // Poison point index 1 (fefet2t at σ = 0.15): it must come back as NaN
-    // cells plus an enumerated failure note, while point 0 stays
-    // bit-identical to the clean run.
+    // Poison item 1, the only sample of fefet2t at σ = 0.15: that point
+    // must come back as NaN cells plus an enumerated failure note, while
+    // point 0 stays bit-identical to the clean run.
     let eval = Evaluator::quick()
         .with_threads(2)
         .with_poisoned_executor_item(1);

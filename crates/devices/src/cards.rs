@@ -92,28 +92,29 @@ impl TechCard {
     /// First-order temperature dependences standard for compact models:
     /// thermal voltage `kT/q`, threshold voltage −1 mV/K, and mobility
     /// (through `k'`) scaling as `(T/T₀)^−1.5`. The cards' nominal
-    /// temperature is 27 °C.
+    /// temperature is 27 °C; `temperature_c` is in °C.
     ///
     /// # Examples
     ///
     /// ```
     /// use ftcam_devices::{Mosfet, TechCard};
-    /// use ftcam_units::Celsius;
     ///
-    /// let hot = TechCard::hp45().at_temperature(Celsius::new(85.0));
+    /// let hot = TechCard::hp45().at_temperature(85.0);
     /// let cold = TechCard::hp45();
     /// // Leakage grows steeply with temperature.
     /// let (ioff_hot, _, _) = Mosfet::channel_currents(&hot.nmos, 0.0, hot.vdd);
     /// let (ioff_cold, _, _) = Mosfet::channel_currents(&cold.nmos, 0.0, cold.vdd);
     /// assert!(ioff_hot > 5.0 * ioff_cold);
     /// ```
-    pub fn at_temperature(&self, temperature: ftcam_units::Celsius) -> Self {
+    pub fn at_temperature(&self, temperature_c: f64) -> Self {
         const NOMINAL_C: f64 = 27.0;
-        let t_kelvin = temperature.to_kelvin();
-        let ratio = t_kelvin.get() / (NOMINAL_C + 273.15);
-        let dvth = -1.0e-3 * (temperature.get() - NOMINAL_C);
+        let t_kelvin = temperature_c + 273.15;
+        let ratio = t_kelvin / (NOMINAL_C + 273.15);
+        let dvth = -1.0e-3 * (temperature_c - NOMINAL_C);
+        // kT/q: Boltzmann constant (J/K) over the elementary charge (C).
+        let vt = 1.380_649e-23 * t_kelvin / 1.602_176_634e-19;
         let adjust = |m: &MosfetParams| MosfetParams {
-            vt: ftcam_units::thermal_voltage(t_kelvin).get(),
+            vt,
             vth: m.vth + dvth,
             kp: m.kp * ratio.powf(-1.5),
             ..m.clone()
@@ -165,13 +166,19 @@ mod tests {
     #[test]
     fn temperature_shifts_threshold_and_vt() {
         let nominal = TechCard::hp45();
-        let hot = nominal.at_temperature(ftcam_units::Celsius::new(127.0));
+        let hot = nominal.at_temperature(127.0);
         assert!((hot.nmos.vth - (nominal.nmos.vth - 0.1)).abs() < 1e-9);
         assert!(hot.nmos.vt > nominal.nmos.vt * 1.2);
         assert!(hot.nmos.kp < nominal.nmos.kp);
         // Nominal temperature is the identity.
-        let same = nominal.at_temperature(ftcam_units::Celsius::new(27.0));
+        let same = nominal.at_temperature(27.0);
         assert!((same.nmos.vth - nominal.nmos.vth).abs() < 1e-12);
+        // kT/q at 300.15 K.
+        assert!(
+            same.nmos.vt > 0.0258 && same.nmos.vt < 0.0261,
+            "vt = {}",
+            same.nmos.vt
+        );
     }
 
     #[test]

@@ -7,7 +7,6 @@
 
 use ftcam::cells::{DesignKind, RowTestbench, SearchTiming};
 use ftcam::devices::TechCard;
-use ftcam::units::{Joules, Seconds};
 use ftcam::workloads::TernaryWord;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,22 +36,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         println!("== {} ({}) ==", row.design().name(), kind.key());
         println!(
-            "  match    : decided {:>5}, latency {}, energy {}",
+            "  match    : decided {:>5}, latency {:.1} ps, energy {:.2} fJ",
             h.matched,
-            Seconds::new(h.latency),
-            Joules::new(h.energy_total),
+            h.latency * 1e12,
+            h.energy_total * 1e15,
         );
         println!(
-            "  mismatch : decided {:>5}, latency {}, energy {}",
+            "  mismatch : decided {:>5}, latency {:.1} ps, energy {:.2} fJ",
             m.matched,
-            Seconds::new(m.latency),
-            Joules::new(m.energy_total),
+            m.latency * 1e12,
+            m.energy_total * 1e15,
         );
         println!(
-            "  breakdown (mismatch): ML {}, SL {}, ctrl {}\n",
-            Joules::new(m.energy_ml),
-            Joules::new(m.energy_sl),
-            Joules::new(m.energy_ctrl),
+            "  breakdown (mismatch): ML {:.2} fJ, SL {:.2} fJ, ctrl {:.2} fJ\n",
+            m.energy_ml * 1e15,
+            m.energy_sl * 1e15,
+            m.energy_ctrl * 1e15,
         );
     }
     Ok(())

@@ -12,7 +12,6 @@
 //!
 //! | module | crate | contents |
 //! |--------|-------|----------|
-//! | [`units`]     | `ftcam-units`     | physical-quantity newtypes |
 //! | [`circuit`]   | `ftcam-circuit`   | the MNA simulator |
 //! | [`devices`]   | `ftcam-devices`   | MOSFET / FeFET / ReRAM models |
 //! | [`cells`]     | `ftcam-cells`     | TCAM cell designs + row testbench |
@@ -55,5 +54,4 @@ pub use ftcam_circuit as circuit;
 pub use ftcam_core as core;
 pub use ftcam_devices as devices;
 pub use ftcam_engine as engine;
-pub use ftcam_units as units;
 pub use ftcam_workloads as workloads;

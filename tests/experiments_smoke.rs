@@ -69,3 +69,16 @@ fn dispatch_covers_every_id() {
     let eval = Evaluator::quick();
     assert!(experiments::run_by_id(&eval, "not-an-id", false).is_err());
 }
+
+#[test]
+fn fig7_runs_one_executor_job_per_monte_carlo_sample() {
+    let quick = experiments::e07_variation::Params::default();
+    let expected = (quick.designs.len() * quick.sigmas.len() * quick.samples) as u64;
+    assert_eq!(expected, 72);
+    for threads in [1, 4] {
+        let eval = Evaluator::quick().with_threads(threads);
+        let mut artifact = experiments::run_by_id(&eval, "fig7", false).unwrap();
+        let exec = artifact.clear_exec().expect("exec stats attached");
+        assert_eq!(exec.jobs, expected, "threads = {threads}");
+    }
+}

@@ -10,8 +10,8 @@ use ftcam::core::{experiments, Evaluator};
 /// A cross-section of drivers covering every executor pattern: plain
 /// per-design fan-out (table1), flattened design×width grids with
 /// skipped points (fig4), per-alpha sweeps (fig8), measurement triples
-/// reassembled against a baseline (table3), and nested Monte-Carlo
-/// under the outer executor (fig7).
+/// reassembled against a baseline (table3), and Monte-Carlo samples
+/// flattened across (design, σ) points into one job list (fig7).
 const IDS: [&str; 5] = ["table1", "fig4", "fig8", "table3", "fig7"];
 
 #[test]
