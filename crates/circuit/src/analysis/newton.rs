@@ -200,7 +200,8 @@ impl NewtonSettings {
 /// Cache key for a frozen LU factorisation. Factors are only reused while
 /// every ingredient of the *static* part of the matrix is unchanged: the
 /// step size, the integration method, the `gmin` shunt, and the matrix
-/// structure epoch (which advances on sparse growth and dense demotion).
+/// epoch (which advances on structural growth only; the dense fallback
+/// keeps it).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct FactorKey {
     dt_bits: Option<u64>,
@@ -211,10 +212,10 @@ struct FactorKey {
 
 /// Reusable buffers for the Newton iteration (avoids per-step allocation).
 ///
-/// The system matrix starts on the sparse no-pivot LU (with symbolic
-/// reuse and automatic dense fallback) at every size — see
-/// [`crate::linalg::SystemMatrix`]. Beyond the matrix and vectors this
-/// carries the hot-path state that persists across calls: the
+/// The system matrix keeps sparse slots at every size and factors them
+/// with the no-pivot sparse LU (symbolic reuse, dense LU on a bad pivot;
+/// see [`crate::linalg::SystemMatrix`]). Beyond the matrix and vectors
+/// this carries the hot-path state that persists across calls: the
 /// static/dynamic device partition, the two stamp tapes, the baseline
 /// snapshot, and the frozen-factor bookkeeping.
 #[derive(Debug)]
@@ -246,7 +247,7 @@ pub(crate) struct NewtonWorkspace {
 impl NewtonWorkspace {
     pub fn new(n: usize) -> Self {
         Self {
-            matrix: SystemMatrix::sparse(n),
+            matrix: SystemMatrix::new(n),
             rhs: vec![0.0; n],
             x_new: vec![0.0; n],
             perf: SolverPerf::default(),
@@ -458,9 +459,9 @@ pub(crate) fn solve(
     // The chord contraction guard compares successive deltas *within* this
     // call; the converged tail of the previous time point must not count.
     *prev_delta = f64::INFINITY;
-    // Epoch the current baseline snapshot was taken at; a mismatch (sparse
-    // growth or dense demotion, including mid-call) forces a rebuild, since
-    // slot order — and therefore the snapshot layout — changed.
+    // Epoch the current baseline snapshot was taken at; a mismatch
+    // (structural growth, including mid-call) forces a rebuild against the
+    // grown slot layout.
     let mut baseline_epoch: Option<u64> = None;
     for iter in 0..max_iters {
         if baseline_epoch != Some(matrix.epoch()) {
@@ -561,12 +562,7 @@ pub(crate) fn solve(
             perf.lu_bypasses += 1;
         } else {
             matrix.factor()?;
-            // factor() may demote sparse→dense, which advances the epoch;
-            // key the fresh factors on the post-factor epoch.
-            *factor_key = Some(FactorKey {
-                epoch: matrix.epoch(),
-                ..key
-            });
+            *factor_key = Some(key);
             *factor_age = 0;
             *force_refresh = false;
             *prev_delta = f64::INFINITY;
@@ -651,7 +647,6 @@ pub(crate) fn measure_currents(
 mod tests {
     use super::*;
     use crate::elements::{Capacitor, Diode, Resistor};
-    use crate::stamp::CommitCtx;
     use crate::waveform::Waveform;
 
     /// Ladder stage counts the hot-path tests run at: a small system and
@@ -673,89 +668,6 @@ mod tests {
         }
         ckt.add(Diode::new(prev, ckt.ground(), 1e-15));
         ckt
-    }
-
-    /// Steps the ladder `steps` times (with device commits, like the
-    /// transient engine) and returns the solution after every step.
-    /// `demote_at` forces a sparse→dense demotion before that step.
-    fn stepped_solutions(
-        stages: usize,
-        hot_path: HotPath,
-        steps: usize,
-        demote_at: Option<usize>,
-    ) -> (Vec<Vec<f64>>, u64) {
-        let mut ckt = ladder(stages);
-        let vars = ckt.build_var_map();
-        let n = vars.n_unknowns();
-        let mut ws = NewtonWorkspace::new(n);
-        assert!(ws.matrix.is_sparse(), "ladder must start sparse");
-        let settings = NewtonSettings::new().with_hot_path(hot_path);
-        let dt = 1e-12;
-        let mut pinned = Vec::new();
-        let mut x = vec![0.0; n];
-        let mut out = Vec::new();
-        for step in 0..steps {
-            if demote_at == Some(step) {
-                ws.matrix.force_demote();
-            }
-            let t = (step as f64 + 1.0) * dt;
-            ckt.pinned_values_at(t, &mut pinned);
-            solve(
-                &ckt,
-                &vars,
-                &mut x,
-                &pinned,
-                t,
-                Some(dt),
-                IntegrationMethod::BackwardEuler,
-                &settings,
-                &mut ws,
-            )
-            .expect("step converges");
-            let ctx = CommitCtx {
-                vars: &vars,
-                x: &x,
-                pinned: &pinned,
-                time: t,
-                dt: Some(dt),
-                method: IntegrationMethod::BackwardEuler,
-            };
-            for dev in ckt.devices.iter_mut() {
-                dev.commit(&ctx);
-            }
-            out.push(x.clone());
-        }
-        (out, ws.matrix.demotions())
-    }
-
-    /// A forced mid-run sparse→dense demotion (new slot scheme, stale
-    /// tapes, stale baseline, stale factors) must not change the
-    /// trajectory: the epoch guard rebuilds everything and the run keeps
-    /// agreeing with the untouched legacy loop.
-    #[test]
-    fn incremental_survives_mid_run_demotion() {
-        for stages in STAGES {
-            let (legacy, d0) = stepped_solutions(stages, HotPath::legacy(), 8, None);
-            let (hot, d1) = stepped_solutions(stages, HotPath::default(), 8, Some(4));
-            assert_eq!(d0, 0);
-            assert_eq!(d1, 1, "demotion must be counted");
-            for (step, (l, h)) in legacy.iter().zip(hot.iter()).enumerate() {
-                for (a, b) in l.iter().zip(h.iter()) {
-                    assert!(
-                        (a - b).abs() < 1e-6,
-                        "{stages} stages, step {step}: legacy {a} vs hot-after-demotion {b}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Every Newton workspace starts sparse, whatever its size.
-    #[test]
-    fn workspace_is_sparse_at_every_size() {
-        for n in [1, 10, crate::linalg::SPARSE_THRESHOLD] {
-            assert!(NewtonWorkspace::new(n).matrix.is_sparse(), "n = {n}");
-        }
     }
 
     /// The chord/LU-reuse layer must actually bypass factorisations on a

@@ -74,7 +74,8 @@ impl RecordMode {
 /// waveforms at sub-percent energy/delay error.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub enum StepControl {
-    /// Take the base step everywhere (halving only on Newton failures).
+    /// Take the base step everywhere (halving only on Newton failures,
+    /// down to `base dt × 1e-6`).
     #[default]
     Fixed,
     /// Local-truncation-error-controlled growth above the base step.
@@ -147,9 +148,6 @@ pub struct TransientOpts {
     pub init: InitialState,
     /// Node-voltage recording policy.
     pub record: RecordMode,
-    /// Smallest step accepted while recovering from Newton failures
-    /// (fixed-step mode; the adaptive policy carries its own floor).
-    pub dt_min: f64,
     /// Step-control policy.
     pub step: StepControl,
     /// Newton tolerances.
@@ -165,7 +163,6 @@ impl TransientOpts {
             method: IntegrationMethod::default(),
             init: InitialState::default(),
             record: RecordMode::default(),
-            dt_min: dt * 1e-6,
             step: StepControl::Fixed,
             newton: NewtonSettings::default(),
         }
@@ -256,6 +253,10 @@ impl TransientOpts {
         Ok(())
     }
 }
+
+/// Newton-failure halving stops below this fraction of the base step
+/// (the default floor of both step-control policies).
+const HALVING_FLOOR: f64 = 1e-6;
 
 /// Voltage floor of the per-node LTE weight: tolerances stay meaningful on
 /// nodes sitting near 0 V.
@@ -455,7 +456,8 @@ impl Transient {
     /// * [`CircuitError::NewtonDiverged`] / [`CircuitError::SingularMatrix`]
     ///   if the initial state cannot be solved.
     /// * [`CircuitError::StepSizeUnderflow`] if step halving reaches
-    ///   `dt_min` without convergence.
+    ///   the step floor (`base dt × 1e-6`, or the adaptive `dt_min`)
+    ///   without convergence.
     /// * [`CircuitError::InvalidOption`] for nonsensical options.
     pub fn run(&self, circuit: &mut Circuit) -> Result<TransientResult, CircuitError> {
         self.opts.validate()?;
@@ -490,13 +492,17 @@ impl Transient {
         let opts = &self.opts;
         // Resolve the step-control policy against the base step.
         let (adaptive, trtol, dt_floor, dt_cap) = match opts.step {
-            StepControl::Fixed => (false, 0.0, opts.dt_min, opts.dt),
+            StepControl::Fixed => (false, 0.0, opts.dt * HALVING_FLOOR, opts.dt),
             StepControl::Adaptive {
                 trtol,
                 dt_min,
                 dt_max,
             } => {
-                let lo = if dt_min > 0.0 { dt_min } else { opts.dt * 1e-6 };
+                let lo = if dt_min > 0.0 {
+                    dt_min
+                } else {
+                    opts.dt * HALVING_FLOOR
+                };
                 let hi = if dt_max > 0.0 {
                     dt_max
                 } else {
@@ -614,7 +620,7 @@ impl Transient {
             // on LTE rejection. Device state is only committed after
             // acceptance. The floor is enforced where the step shrinks
             // (Newton halving), not up front: a breakpoint segment
-            // legitimately shorter than `dt_min` must still be steppable.
+            // legitimately shorter than the floor must still be steppable.
             let mut step_recovered = false;
             loop {
                 let t_next = t + dt;

@@ -47,10 +47,12 @@
 //!
 //! TCAM testbenches pin all drivers and supplies, leaving at most a few
 //! hundred unknowns, with about four nonzeros per matrix row. Every
-//! system, whatever its size, uses a no-pivot sparse LU with one-time
-//! symbolic factorisation, which demotes the analysis to a dense LU with
-//! partial pivoting on a bad pivot, so correctness never depends on the
-//! sparse path ([`linalg::SystemMatrix`]). The Newton loop stamps
+//! system, whatever its size, stamps sparse slots factored by a no-pivot
+//! sparse LU with one-time symbolic factorisation. On a bad pivot it
+//! switches factorisation to the dense LU of the same values for the rest
+//! of the analysis; slots, tapes and baselines are untouched, so
+//! correctness never depends on the no-pivot path
+//! ([`linalg::SystemMatrix`]). The Newton loop stamps
 //! each time point's fixed part once and restamps only what moves with
 //! the iterate ([`HotPath`], [`Device::stamp_companions`]); see
 //! `DESIGN.md` §5.

@@ -1,6 +1,6 @@
-//! Dense LU with partial pivoting — exact and fast below a few hundred
-//! unknowns, and the fallback when the no-pivot sparse path hits a bad
-//! pivot.
+//! Dense LU with partial pivoting — the factoriser a
+//! [`crate::linalg::SystemMatrix`] falls back to when the no-pivot sparse
+//! LU hits a bad pivot, and the reference the sparse LU is tested against.
 
 use crate::error::CircuitError;
 
@@ -70,14 +70,9 @@ impl DenseMatrix {
         self.data.fill(0.0);
     }
 
-    /// The backing value storage (row-major). Slot `row * n + col`.
+    /// The backing value storage (row-major).
     pub fn values(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Mutable access to the backing value storage.
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.data
     }
 
     /// Returns entry `(row, col)`.
@@ -102,28 +97,12 @@ impl DenseMatrix {
 
     /// Adds `value` to entry `(row, col)` — the MNA stamping primitive.
     ///
-    /// Returns the value slot (`row * n + col`) so callers can record a
-    /// replayable stamp tape; the dense pattern is fixed, so a slot never
-    /// moves.
-    ///
     /// # Panics
     ///
     /// Panics if `row` or `col` is out of bounds.
     #[inline]
-    pub fn add(&mut self, row: usize, col: usize, value: f64) -> u32 {
-        let slot = row * self.n + col;
-        self.data[slot] += value;
-        slot as u32
-    }
-
-    /// Adds `value` at a slot previously returned by [`DenseMatrix::add`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of bounds.
-    #[inline]
-    pub fn add_slot(&mut self, slot: u32, value: f64) {
-        self.data[slot as usize] += value;
+    pub fn add(&mut self, row: usize, col: usize, value: f64) {
+        self.data[row * self.n + col] += value;
     }
 
     /// Computes `y = A·x` from the stamped values (not the factors).

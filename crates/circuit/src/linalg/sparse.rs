@@ -31,6 +31,7 @@
 
 use std::collections::HashMap;
 
+use super::DenseMatrix;
 use crate::error::CircuitError;
 
 /// Threshold below which a pivot is treated as numerically singular.
@@ -113,11 +114,6 @@ impl SparseMatrix {
         self.n
     }
 
-    /// Number of structurally nonzero entries.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
     /// Zeroes all values, keeping the structure, the symbolic
     /// factorisation, and any stored numeric factors (chord Newton
     /// reassembles values while substituting against frozen factors).
@@ -177,13 +173,13 @@ impl SparseMatrix {
         self.values[slot as usize] += value;
     }
 
-    /// Dense copy of the current values (for the fallback path and tests).
-    pub fn to_dense(&self) -> super::DenseMatrix {
-        let mut dense = super::DenseMatrix::zeros(self.n);
-        for (slot, &(r, c)) in self.coords.iter().enumerate() {
-            dense.add(r as usize, c as usize, self.values[slot]);
+    /// Overwrites `dense` with the current values (the fallback factoriser
+    /// of [`crate::linalg::SystemMatrix`] reads them this way).
+    pub fn copy_into(&self, dense: &mut DenseMatrix) {
+        dense.clear();
+        for (&(r, c), &v) in self.coords.iter().zip(&self.values) {
+            dense.add(r as usize, c as usize, v);
         }
-        dense
     }
 
     /// Computes `y = A·x` from the stamped values (not the factors).
@@ -413,44 +409,27 @@ impl SparseMatrix {
             b[old as usize] = self.pb[new];
         }
     }
-
-    /// Factorises and solves `A·x = b`, overwriting `b` with the solution.
-    ///
-    /// The stored values are left intact (factors live in persistent
-    /// scratch space), so a failed solve can fall back to another method
-    /// and a successful one leaves the factorisation available for
-    /// [`SparseMatrix::substitute`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::SingularMatrix`] when a pivot falls below
-    /// the tolerance — the caller should fall back to dense partial-pivot
-    /// LU.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` differs from the dimension.
-    pub fn solve_in_place(&mut self, b: &mut [f64]) -> Result<(), CircuitError> {
-        assert_eq!(b.len(), self.n, "rhs dimension mismatch");
-        self.factor()?;
-        self.substitute(b);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn solve(m: &mut SparseMatrix, b: &mut [f64]) -> Result<(), CircuitError> {
+        m.factor()?;
+        m.substitute(b);
+        Ok(())
+    }
+
     fn solve_both(entries: &[(usize, usize, f64)], n: usize, b: &[f64]) -> (Vec<f64>, Vec<f64>) {
         let mut sparse = SparseMatrix::zeros(n);
-        let mut dense = super::super::DenseMatrix::zeros(n);
+        let mut dense = DenseMatrix::zeros(n);
         for &(r, c, v) in entries {
             sparse.add(r, c, v);
             dense.add(r, c, v);
         }
         let mut xs = b.to_vec();
-        sparse.solve_in_place(&mut xs).expect("sparse solves");
+        solve(&mut sparse, &mut xs).expect("sparse solves");
         let mut xd = b.to_vec();
         dense.solve_in_place(&mut xd).expect("dense solves");
         (xs, xd)
@@ -533,18 +512,18 @@ mod tests {
         m.add(2, 2, 2.0);
         m.add(0, 1, 1.0);
         let mut x = vec![3.0, 2.0, 4.0];
-        m.solve_in_place(&mut x).unwrap();
+        solve(&mut m, &mut x).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12);
-        let nnz = m.nnz();
+        let nnz = m.values().len();
         // Re-stamp the same pattern: no structural growth, same answer.
         m.clear();
         m.add(0, 0, 2.0);
         m.add(1, 1, 2.0);
         m.add(2, 2, 2.0);
         m.add(0, 1, 1.0);
-        assert_eq!(m.nnz(), nnz);
+        assert_eq!(m.values().len(), nnz);
         let mut x = vec![3.0, 2.0, 4.0];
-        m.solve_in_place(&mut x).unwrap();
+        solve(&mut m, &mut x).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12);
     }
 
@@ -555,7 +534,7 @@ mod tests {
         m.add(1, 0, 1.0);
         // Diagonals are structurally absent → first pivot is zero.
         let mut x = vec![1.0, 1.0];
-        let err = m.solve_in_place(&mut x).unwrap_err();
+        let err = solve(&mut m, &mut x).unwrap_err();
         assert!(matches!(err, CircuitError::SingularMatrix { .. }));
     }
 
@@ -565,9 +544,10 @@ mod tests {
         m.add(0, 1, 1.0);
         m.add(1, 0, 1.0);
         let mut x = vec![1.0, 1.0];
-        let _ = m.solve_in_place(&mut x);
+        let _ = solve(&mut m, &mut x);
         // The dense fallback can still read the original values.
-        let dense = m.to_dense();
+        let mut dense = DenseMatrix::zeros(2);
+        m.copy_into(&mut dense);
         assert_eq!(dense.get(0, 1), 1.0);
         assert_eq!(dense.get(1, 0), 1.0);
     }
@@ -590,7 +570,7 @@ mod tests {
         let mut x1 = b.clone();
         m.substitute(&mut x1);
         let mut x2 = b.clone();
-        m.solve_in_place(&mut x2).unwrap();
+        solve(&mut m, &mut x2).unwrap();
         assert_eq!(x1, x2);
     }
 
@@ -618,6 +598,8 @@ mod tests {
         let x = vec![1.0, 2.0, -1.0];
         let mut y = vec![0.0; 3];
         m.mul_vec_into(&x, &mut y);
-        assert_eq!(y, m.to_dense().mul_vec(&x));
+        let mut dense = DenseMatrix::zeros(3);
+        m.copy_into(&mut dense);
+        assert_eq!(y, dense.mul_vec(&x));
     }
 }

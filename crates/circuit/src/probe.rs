@@ -142,9 +142,9 @@ counters! {
     /// Counts how often the transient engine had to escalate past a plain
     /// Newton solve, and which rung of the ladder (gmin escalation → damped
     /// Newton → step halving, see `DESIGN.md` §6) succeeded. Also counts
-    /// sparse→dense matrix demotions — technically a linear-solver fallback,
-    /// not a ladder rung, but operationally the same kind of "the solver had
-    /// to bail itself out" event. All-zero on a healthy run; nonzero counters
+    /// dense-LU fallbacks — a linear-solver event, not a ladder rung, but
+    /// operationally the same kind of "the solver had to bail itself out"
+    /// event. All-zero on a healthy run; nonzero counters
     /// on a run that still produced a result mean the ladder absorbed solver
     /// trouble.
     pub struct RecoveryStats, ledger RecoveryLedger {
@@ -157,8 +157,10 @@ counters! {
         nonfinite,
         /// Accepted steps that needed any recovery (ladder retry or halving).
         recovered_steps,
-        /// Sparse→dense system-matrix demotions (no-pivot LU hit a bad pivot
-        /// and the analysis permanently fell back to partial-pivot dense LU).
+        /// Analyses whose no-pivot sparse LU hit a bad pivot, at most one
+        /// per analysis: the system matrix then switched factorisation to
+        /// the dense partial-pivot LU of the same values for the rest of
+        /// the analysis; slots, tapes and baselines are untouched.
         dense_demotions,
     }
 }
@@ -223,8 +225,8 @@ impl SolverPerf {
 
 // Process-wide totals of every analysis since process start. Each
 // analysis adds its counters once, at its exit (error exits included);
-// dense demotions are added from the analysis's own matrix there, so a
-// demotion is counted exactly once.
+// the dense fallback is added from the analysis's own matrix there, so it
+// is counted exactly once.
 pub(crate) static STEPS: StepLedger = StepLedger::new();
 pub(crate) static RECOVERY: RecoveryLedger = RecoveryLedger::new();
 pub(crate) static SOLVER: SolverLedger = SolverLedger::new();

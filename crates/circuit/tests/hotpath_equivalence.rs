@@ -10,8 +10,10 @@
 //!   tolerance — the only differences are ulp-level stamp reordering and
 //!   chord iterations that converge to the same fixed point.
 
-use ftcam_circuit::analysis::{Transient, TransientOpts};
-use ftcam_circuit::elements::{Capacitor, CurrentSource, Diode, Resistor, TimedSwitch};
+use ftcam_circuit::analysis::{DcOperatingPoint, Transient, TransientOpts};
+use ftcam_circuit::elements::{
+    Capacitor, CurrentSource, Diode, Resistor, TimedSwitch, VoltageSource,
+};
 use ftcam_circuit::waveform::Waveform;
 use ftcam_circuit::{Circuit, HotPath, NewtonSettings, NodeId};
 use proptest::prelude::*;
@@ -158,6 +160,104 @@ proptest! {
             for (a, b) in h.iter().zip(l.iter()) {
                 prop_assert!((a - b).abs() < 1e-3, "trace diverged: {a} vs {b}");
             }
+        }
+    }
+}
+
+/// Resistance of every resistor in [`fallback_netlist`] (ohms).
+const R_FALLBACK: f64 = 1e3;
+
+/// A netlist the no-pivot sparse LU cannot factor: a 0.2 V source between
+/// the free nodes `a` and `b`, each with three free neighbours
+/// (`vdd → cᵢ → a` and `b → dᵢ → gnd`), plus `a → gnd`, `vdd → b`, and a
+/// capacitor and a diode on `a`. The degree ordering puts the source's
+/// branch row, whose diagonal is zero, ahead of both its nodes, so the
+/// first pivot of that row is zero and the analysis falls back to the
+/// dense LU. The rail steps from 0.5 V to 1 V at 50 ps.
+fn fallback_netlist() -> (Circuit, Diode) {
+    let mut ckt = Circuit::new();
+    let gnd = ckt.ground();
+    let vdd = ckt.node("vdd");
+    let rail = Waveform::pulse(0.5, 1.0, 50e-12, 50e-12, 50e-12, 2e-9);
+    ckt.pin(vdd, "VDD", rail).expect("pin rail");
+    let a = ckt.node("a");
+    let b = ckt.node("b");
+    for i in 0..3 {
+        let c = ckt.node(&format!("c{i}"));
+        ckt.add(Resistor::new(vdd, c, R_FALLBACK));
+        ckt.add(Resistor::new(c, a, R_FALLBACK));
+        let d = ckt.node(&format!("d{i}"));
+        ckt.add(Resistor::new(b, d, R_FALLBACK));
+        ckt.add(Resistor::new(d, gnd, R_FALLBACK));
+    }
+    ckt.add(Resistor::new(a, gnd, R_FALLBACK));
+    ckt.add(Resistor::new(vdd, b, R_FALLBACK));
+    ckt.add(Capacitor::new(a, gnd, 10e-15));
+    let diode = Diode::new(a, gnd, 1e-15);
+    ckt.add(diode.clone());
+    ckt.add(VoltageSource::dc(a, b, 0.2));
+    (ckt, diode)
+}
+
+/// Worst KCL residual (amps) of a settled [`fallback_netlist`] solution
+/// `v` at rail voltage `vdd`: every `cᵢ` and `dᵢ` and the `{a, b}`
+/// supernode. Settled, the capacitor carries no current; the `gmin`
+/// shunts are far below the tolerance.
+fn fallback_kcl(v: impl Fn(&str) -> f64, vdd: f64, diode: &Diode) -> f64 {
+    let i = |from: f64, to: f64| (from - to) / R_FALLBACK;
+    let (va, vb) = (v("a"), v("b"));
+    let mut supernode = i(vdd, vb) - i(va, 0.0) - diode.current_and_conductance(va).0;
+    let mut worst: f64 = 0.0;
+    for k in 0..3 {
+        let (c, d) = (v(&format!("c{k}")), v(&format!("d{k}")));
+        worst = worst.max((i(vdd, c) - i(c, va)).abs());
+        worst = worst.max((i(vb, d) - i(d, 0.0)).abs());
+        supernode += i(c, va) - i(vb, d);
+    }
+    worst.max(supernode.abs())
+}
+
+/// The dense fallback swaps only the factoriser: on a real netlist that
+/// falls back, DC and transient still satisfy KCL, the run counts one
+/// demotion, the hot path keeps replaying tapes and reusing baselines on
+/// the dense factors, and the traces match the legacy loop.
+#[test]
+fn hot_path_runs_on_the_dense_fallback() {
+    let (mut ckt, diode) = fallback_netlist();
+    let dc = DcOperatingPoint::new().run(&mut ckt).expect("dc solves");
+    let v = |node: &str| dc.voltage(node).expect("node exists");
+    assert!((v("a") - v("b") - 0.2).abs() < 1e-9, "dc source voltage");
+    let residual = fallback_kcl(v, 0.5, &diode);
+    assert!(residual < 1e-9, "dc KCL residual {residual:e} A");
+
+    let run = |hot_path: HotPath| {
+        let (mut ckt, _) = fallback_netlist();
+        let opts = TransientOpts::new(10e-12, 1e-9)
+            .with_newton(NewtonSettings::new().with_hot_path(hot_path));
+        Transient::new(opts).run(&mut ckt).expect("transient runs")
+    };
+    let hot = run(HotPath::default());
+    let legacy = run(HotPath::legacy());
+    assert_eq!(hot.recovery_stats().dense_demotions, 1);
+    assert_eq!(legacy.recovery_stats().dense_demotions, 1);
+    let perf = hot.solver_perf();
+    assert!(perf.tape_replays > 0, "tapes must replay: {perf:?}");
+    assert_eq!(perf.tape_mismatches, 0, "pattern is stable: {perf:?}");
+    assert!(
+        perf.baseline_reuses > 0,
+        "baselines must be reused: {perf:?}"
+    );
+
+    let last = |node: &str| hot.trace(node).expect("trace recorded").last_value();
+    assert!((last("a") - last("b") - 0.2).abs() < 1e-9, "source voltage");
+    let residual = fallback_kcl(last, 1.0, &diode);
+    assert!(residual < 1e-9, "settled KCL residual {residual:e} A");
+    for node in ["a", "b", "c0", "d0"] {
+        let h = hot.trace(node).expect("trace recorded").values();
+        let l = legacy.trace(node).expect("trace recorded").values();
+        assert_eq!(h.len(), l.len());
+        for (x, y) in h.iter().zip(l) {
+            assert!((x - y).abs() < 1e-3, "{node}: hot {x} vs legacy {y}");
         }
     }
 }

@@ -2,7 +2,7 @@
 
 use ftcam_circuit::analysis::{DcOperatingPoint, Transient, TransientOpts};
 use ftcam_circuit::elements::{Capacitor, Resistor};
-use ftcam_circuit::linalg::SystemMatrix;
+use ftcam_circuit::linalg::{DenseMatrix, SystemMatrix};
 use ftcam_circuit::waveform::Waveform;
 use ftcam_circuit::Circuit;
 use proptest::prelude::*;
@@ -11,7 +11,8 @@ use proptest::prelude::*;
 /// `linalg::SPARSE_THRESHOLD` (90) on purpose.
 const MAX_UNKNOWNS: usize = 120;
 
-/// Stamps a random MNA-like system on `n` free nodes into `m` and returns
+/// Stamps a random MNA-like system on `n` free nodes through `m` (one
+/// `(row, col, value)` add per call) and returns
 /// its right-hand side. Index `n` is ground and is never stamped. Node `i`
 /// hangs off a random earlier node or ground through `tree[i]`, so every
 /// node sees a conductance path to ground; each `extra` entry
@@ -20,17 +21,17 @@ const MAX_UNKNOWNS: usize = 120;
 /// gate `c`) or a current into `a`. Every free node carries a `gmin`
 /// shunt, as in the analyses.
 fn stamp_random_mna(
-    m: &mut SystemMatrix,
+    m: &mut dyn FnMut(usize, usize, f64),
     n: usize,
     tree: &[(f64, f64)],
     extra: &[(f64, f64, f64, f64, f64, f64)],
 ) -> Vec<f64> {
-    let add = |m: &mut SystemMatrix, r: usize, c: usize, v: f64| {
+    let add = |m: &mut dyn FnMut(usize, usize, f64), r: usize, c: usize, v: f64| {
         if r < n && c < n {
-            m.add(r, c, v);
+            m(r, c, v);
         }
     };
-    let conductance = |m: &mut SystemMatrix, a: usize, b: usize, g: f64| {
+    let conductance = |m: &mut dyn FnMut(usize, usize, f64), a: usize, b: usize, g: f64| {
         add(m, a, a, g);
         add(m, b, b, g);
         add(m, a, b, -g);
@@ -173,7 +174,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// The sparse no-pivot LU every analysis starts on solves random MNA
+    /// The sparse no-pivot LU every analysis factors with solves random MNA
     /// systems on both sides of 90 unknowns as the dense partial-pivot LU
     /// does, without demoting.
     #[test]
@@ -185,10 +186,10 @@ proptest! {
             0..3 * MAX_UNKNOWNS,
         ),
     ) {
-        let mut dense = SystemMatrix::dense(n);
-        let mut sparse = SystemMatrix::sparse(n);
-        let mut xd = stamp_random_mna(&mut dense, n, &tree, &extra);
-        let mut xs = stamp_random_mna(&mut sparse, n, &tree, &extra);
+        let mut dense = DenseMatrix::zeros(n);
+        let mut sparse = SystemMatrix::new(n);
+        let mut xd = stamp_random_mna(&mut |r, c, v| dense.add(r, c, v), n, &tree, &extra);
+        let mut xs = stamp_random_mna(&mut |r, c, v| sparse.add(r, c, v), n, &tree, &extra);
         dense.solve_in_place(&mut xd).unwrap();
         sparse.solve_in_place(&mut xs).unwrap();
         prop_assert_eq!(sparse.demotions(), 0);
