@@ -276,3 +276,27 @@ fn analog_search_with_ternary_levels_matches_digital_search() {
         );
     }
 }
+
+/// The measure pass evaluates only the devices with a terminal on a
+/// pinned source. Debug builds compare every pin's current at every
+/// accepted step, bit for bit, with a pass over every device (the
+/// full-measure reference inside `ftcam-circuit`), so every pin's supply
+/// energy equals the full-measure one. This drives one search and, where
+/// the design writes transiently, one write through every design at
+/// width 8.
+#[cfg(debug_assertions)]
+#[test]
+fn every_design_measures_every_pin_current() {
+    let stored: TernaryWord = "10X1011X".parse().unwrap();
+    let query: TernaryWord = "10110111".parse().unwrap();
+    for kind in DesignKind::ALL {
+        let mut row = row(kind, 8);
+        row.program_word(&stored).unwrap();
+        let out = row.search(&query, &SearchTiming::fast()).unwrap();
+        assert!(out.energy_total > 0.0, "{kind}: search energy");
+        if kind.instantiate().supports_transient_write() {
+            let out = row.write_word(&query, &WriteTiming::default()).unwrap();
+            assert!(out.energy_total > 0.0, "{kind}: write energy");
+        }
+    }
+}

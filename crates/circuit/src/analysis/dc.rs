@@ -214,6 +214,7 @@ fn package(circuit: &Circuit, vars: &VarMap, x: &[f64], iterations: usize) -> Dc
     let mut current_out = vec![0.0; circuit.node_count()];
     newton::measure_currents(
         circuit,
+        &circuit.measured_devices(vars),
         vars,
         x,
         &pinned,

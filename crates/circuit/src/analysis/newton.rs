@@ -9,12 +9,24 @@
 //! set's [`crate::Device::stamp`], then factors (or reuses factors) and
 //! solves.
 //!
+//! A converged call also reports the worst free-node KCL residual
+//! `z − A·x` of the last Newton load at the accepted `x`: one product with
+//! the matrix already assembled, no device evaluation (SPICE3 likewise
+//! checks currents from the load that computed them). It measures how far
+//! the accepted point is from solving the last linearisation — a chord
+//! step stopped short of its fixed point shows here — but not the devices'
+//! curvature between the load point and `x`, which the update-size test
+//! bounds.
+//!
 //! Three layers make the loop cheap, and [`HotPath`] switches each off
 //! independently of the others:
 //!
 //! * `incremental` — the static/dynamic partition. Off, every device is
 //!   dynamic, companions included, and the baseline holds only the `gmin`
-//!   shunts.
+//!   shunts. On, and with no [`crate::StampClass::TimeVarying`] device,
+//!   the baseline matrix is also kept across calls under its
+//!   `(dt, method, gmin)` key: a call with the same key restores it and
+//!   restamps only the right-hand side.
 //! * `tape` — both stamping passes run through slot-resolved stamp tapes
 //!   ([`crate::linalg::StampTape`]), so steady-state assembly is straight
 //!   array writes with no hash lookups.
@@ -56,7 +68,10 @@ pub struct HotPath {
     /// Partition devices by [`crate::StampClass`], stamp the static set
     /// and the dynamic set's companions once per time point into a
     /// baseline snapshot, and restamp only the dynamic set's
-    /// [`crate::Device::stamp`] each Newton iteration.
+    /// [`crate::Device::stamp`] each Newton iteration. Unless a
+    /// [`crate::StampClass::TimeVarying`] device is present, a time point
+    /// at the previous point's `(dt, method, gmin)` restores the baseline
+    /// matrix and restamps only its right-hand side.
     pub incremental: bool,
     /// Record each assembly pass's `(row, col) → slot` writes into a
     /// replayable tape, turning steady-state stamping into direct array
@@ -197,17 +212,27 @@ impl NewtonSettings {
     }
 }
 
-/// Cache key for a frozen LU factorisation. Factors are only reused while
-/// every ingredient of the *static* part of the matrix is unchanged: the
-/// step size, the integration method, the `gmin` shunt, and the matrix
-/// epoch (which advances on structural growth only; the dense fallback
-/// keeps it).
+/// Every ingredient of the *static* part of the matrix: the step size,
+/// the integration method, the `gmin` shunt, and the matrix epoch (which
+/// advances on structural growth only; the dense fallback keeps it). It
+/// keys both the frozen LU factorisation and the cached baseline matrix.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct FactorKey {
     dt_bits: Option<u64>,
     method: IntegrationMethod,
     gmin_bits: u64,
     epoch: u64,
+}
+
+impl FactorKey {
+    fn new(dt: Option<f64>, method: IntegrationMethod, gmin: f64, epoch: u64) -> Self {
+        Self {
+            dt_bits: dt.map(f64::to_bits),
+            method,
+            gmin_bits: gmin.to_bits(),
+            epoch,
+        }
+    }
 }
 
 /// Reusable buffers for the Newton iteration (avoids per-step allocation).
@@ -217,7 +242,7 @@ struct FactorKey {
 /// see [`crate::linalg::SystemMatrix`]). Beyond the matrix and vectors
 /// this carries the hot-path state that persists across calls: the
 /// static/dynamic device partition, the two stamp tapes, the baseline
-/// snapshot, and the frozen-factor bookkeeping.
+/// snapshot and its key, and the frozen-factor bookkeeping.
 #[derive(Debug)]
 pub(crate) struct NewtonWorkspace {
     pub matrix: SystemMatrix,
@@ -226,6 +251,9 @@ pub(crate) struct NewtonWorkspace {
     /// Hot-path counters accumulated across every solve through this
     /// workspace; drained by the owning analysis.
     pub perf: SolverPerf,
+    /// Worst free-node KCL residual `|z − A·x|` (amps) of the last Newton
+    /// load at the accepted `x`, from the last successful [`solve`].
+    pub residual: f64,
     /// Computed from the circuit on first use; a circuit's device list is
     /// fixed for the lifetime of an analysis (and its workspace).
     partition: Option<StampPartition>,
@@ -233,6 +261,9 @@ pub(crate) struct NewtonWorkspace {
     dynamic_tape: StampTape,
     baseline_vals: Vec<f64>,
     baseline_rhs: Vec<f64>,
+    /// Key the matrix part of the baseline snapshot holds for; `None` when
+    /// it may not be reused across calls.
+    baseline_key: Option<FactorKey>,
     scratch: Vec<f64>,
     factor_key: Option<FactorKey>,
     /// Substitutions served by the current factors since they were computed.
@@ -251,11 +282,13 @@ impl NewtonWorkspace {
             rhs: vec![0.0; n],
             x_new: vec![0.0; n],
             perf: SolverPerf::default(),
+            residual: 0.0,
             partition: None,
             static_tape: StampTape::new(),
             dynamic_tape: StampTape::new(),
             baseline_vals: Vec::new(),
             baseline_rhs: Vec::new(),
+            baseline_key: None,
             scratch: vec![0.0; n],
             factor_key: None,
             factor_age: 0,
@@ -279,7 +312,9 @@ enum Stamps {
 /// One stamping pass over subsets of devices, optionally recorded into or
 /// replayed from a slot tape. When `gmin` is `Some`, the free-node shunt
 /// diagonals are stamped at the end of the pass (so they land on the tape
-/// too). The caller clears the system before a baseline pass.
+/// too). With no `matrix` the pass stamps the right-hand side alone, with
+/// neither tape nor shunts. The caller clears the system before a
+/// baseline pass.
 #[allow(clippy::too_many_arguments)]
 fn assemble_pass(
     circuit: &Circuit,
@@ -289,7 +324,7 @@ fn assemble_pass(
     time: f64,
     dt: Option<f64>,
     method: IntegrationMethod,
-    matrix: &mut SystemMatrix,
+    mut matrix: Option<&mut SystemMatrix>,
     rhs: &mut [f64],
     sets: &[(&[usize], Stamps)],
     gmin: Option<f64>,
@@ -297,10 +332,16 @@ fn assemble_pass(
     tape: &mut StampTape,
     perf: &mut SolverPerf,
 ) {
-    let replaying = use_tape && matrix.begin_tape(std::mem::take(tape));
+    let replaying = match matrix.as_deref_mut() {
+        Some(m) if use_tape => m.begin_tape(std::mem::take(tape)),
+        _ => false,
+    };
     {
         let mut ctx = StampCtx {
-            mode: StampMode::Assemble { matrix, rhs },
+            mode: StampMode::Assemble {
+                matrix: matrix.as_deref_mut(),
+                rhs,
+            },
             vars,
             x,
             pinned,
@@ -322,6 +363,7 @@ fn assemble_pass(
             }
         }
     }
+    let Some(matrix) = matrix else { return };
     if let Some(g) = gmin {
         // gmin shunt on free node diagonals keeps floating nodes solvable;
         // a node standing for `m` copies carries `m` shunts.
@@ -437,11 +479,13 @@ pub(crate) fn solve(
         rhs,
         x_new,
         perf,
+        residual,
         partition,
         static_tape,
         dynamic_tape,
         baseline_vals,
         baseline_rhs,
+        baseline_key,
         scratch,
         factor_key,
         factor_age,
@@ -456,6 +500,13 @@ pub(crate) fn solve(
     } else {
         (&[][..], Stamps::Both)
     };
+    let baseline_sets = [
+        (&part.static_devices[..], Stamps::Both),
+        (held, Stamps::Companions),
+    ];
+    // A timed switch moves the static matrix between time points, so only
+    // a switch-free partition may carry the baseline matrix across calls.
+    let cacheable = hp.incremental && !part.time_varying;
     // The chord contraction guard compares successive deltas *within* this
     // call; the converged tail of the previous time point must not count.
     *prev_delta = f64::INFINITY;
@@ -465,7 +516,15 @@ pub(crate) fn solve(
     let mut baseline_epoch: Option<u64> = None;
     for iter in 0..max_iters {
         if baseline_epoch != Some(matrix.epoch()) {
-            matrix.clear();
+            // At the cached key the baseline matrix is already known; only
+            // the right-hand side moves with time and committed state.
+            let key = FactorKey::new(dt, method, settings.gmin, matrix.epoch());
+            let cached = *baseline_key == Some(key);
+            if cached {
+                matrix.restore_values(baseline_vals);
+            } else {
+                matrix.clear();
+            }
             rhs.fill(0.0);
             assemble_pass(
                 circuit,
@@ -475,23 +534,42 @@ pub(crate) fn solve(
                 time,
                 dt,
                 method,
-                matrix,
+                (!cached).then_some(&mut *matrix),
                 rhs,
-                &[
-                    (&part.static_devices, Stamps::Both),
-                    (held, Stamps::Companions),
-                ],
+                &baseline_sets,
                 Some(settings.gmin),
                 hp.tape,
                 static_tape,
                 perf,
             );
-            baseline_vals.clear();
-            baseline_vals.extend_from_slice(matrix.values());
+            if cached {
+                #[cfg(debug_assertions)]
+                check_cached_baseline(
+                    circuit,
+                    vars,
+                    x,
+                    pinned,
+                    time,
+                    dt,
+                    method,
+                    settings.gmin,
+                    matrix,
+                    rhs,
+                    &baseline_sets,
+                    hp.tape,
+                    static_tape,
+                );
+                perf.baseline_reuses += 1;
+            } else {
+                baseline_vals.clear();
+                baseline_vals.extend_from_slice(matrix.values());
+                *baseline_key =
+                    cacheable.then(|| FactorKey::new(dt, method, settings.gmin, matrix.epoch()));
+                perf.baseline_snapshots += 1;
+            }
             baseline_rhs.clear();
             baseline_rhs.extend_from_slice(rhs);
             baseline_epoch = Some(matrix.epoch());
-            perf.baseline_snapshots += 1;
         } else {
             matrix.restore_values(baseline_vals);
             rhs.copy_from_slice(baseline_rhs);
@@ -506,7 +584,7 @@ pub(crate) fn solve(
                 time,
                 dt,
                 method,
-                matrix,
+                Some(&mut *matrix),
                 rhs,
                 &[(&part.dynamic_devices, iterate)],
                 None,
@@ -516,12 +594,7 @@ pub(crate) fn solve(
             );
         }
 
-        let key = FactorKey {
-            dt_bits: dt.map(f64::to_bits),
-            method,
-            gmin_bits: settings.gmin.to_bits(),
-            epoch: matrix.epoch(),
-        };
+        let key = FactorKey::new(dt, method, settings.gmin, matrix.epoch());
         let reusable = hp.lu_reuse && matrix.is_factored() && *factor_key == Some(key);
         // All-linear circuits assemble a bit-identical matrix at a fixed
         // key, so substituting against the cached factors is exactly the
@@ -597,12 +670,16 @@ pub(crate) fn solve(
             *force_refresh = true;
         }
         *prev_delta = delta_norm;
-        if converged && (scale == 1.0) && iter > 0 {
-            return Ok(iter + 1);
-        }
         // Linear circuits: solution after first full (unscaled) update is
         // exact; accept immediately to save a reassembly.
-        if !nonlinear && scale == 1.0 {
+        if scale == 1.0 && ((converged && iter > 0) || !nonlinear) {
+            // KCL of the last load at the accepted point (see the module
+            // doc).
+            matrix.mul_vec_into(x, scratch);
+            *residual = rhs[..vars.n_free]
+                .iter()
+                .zip(&scratch[..vars.n_free])
+                .fold(0.0, |worst: f64, (z, ax)| worst.max((z - ax).abs()));
             return Ok(iter + 1);
         }
     }
@@ -612,11 +689,71 @@ pub(crate) fn solve(
     })
 }
 
-/// Runs the measure pass at the converged solution, filling `current_out`
-/// (net current leaving each node into devices, indexed by node).
+/// Debug builds check every cached baseline against a full restamp: the
+/// restored matrix values and the rhs-only right-hand side must equal, bit
+/// for bit, what stamping every baseline device into a cleared system
+/// gives, through the static tape as a cache miss would.
+#[cfg(debug_assertions)]
+#[allow(clippy::too_many_arguments)]
+fn check_cached_baseline(
+    circuit: &Circuit,
+    vars: &VarMap,
+    x: &[f64],
+    pinned: &[f64],
+    time: f64,
+    dt: Option<f64>,
+    method: IntegrationMethod,
+    gmin: f64,
+    matrix: &mut SystemMatrix,
+    rhs: &mut [f64],
+    sets: &[(&[usize], Stamps)],
+    use_tape: bool,
+    tape: &mut StampTape,
+) {
+    let (cached_vals, cached_rhs) = (matrix.values().to_vec(), rhs.to_vec());
+    matrix.clear();
+    rhs.fill(0.0);
+    assemble_pass(
+        circuit,
+        vars,
+        x,
+        pinned,
+        time,
+        dt,
+        method,
+        Some(matrix),
+        rhs,
+        sets,
+        Some(gmin),
+        use_tape,
+        tape,
+        &mut SolverPerf::default(),
+    );
+    let same = |a: &[f64], b: &[f64]| {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    };
+    assert!(
+        same(&cached_vals, matrix.values()),
+        "cached baseline matrix differs from a full restamp at t = {time}"
+    );
+    assert!(
+        same(&cached_rhs, rhs),
+        "rhs-only baseline differs from a full restamp at t = {time}"
+    );
+}
+
+/// Runs the measure pass at the converged solution over `devices` (indices
+/// in device order, from [`Circuit::measured_devices`]), filling
+/// `current_out` with the net current leaving each node into them.
+///
+/// Only pinned-node entries are complete: every device that writes to a
+/// pinned node is in `devices`, and each such entry sums the same terms in
+/// the same order as a pass over every device would. Debug builds check
+/// exactly that against a pass over every device.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn measure_currents(
     circuit: &Circuit,
+    devices: &[usize],
     vars: &VarMap,
     x: &[f64],
     pinned: &[f64],
@@ -625,21 +762,41 @@ pub(crate) fn measure_currents(
     method: IntegrationMethod,
     current_out: &mut [f64],
 ) {
-    current_out.fill(0.0);
-    let mut ctx = StampCtx {
-        mode: StampMode::Measure { current_out },
-        vars,
-        x,
-        pinned,
-        time,
-        dt,
-        method,
-        mult: 1.0,
+    let pass = |devices: &[usize], current_out: &mut [f64]| {
+        current_out.fill(0.0);
+        let mut ctx = StampCtx {
+            mode: StampMode::Measure { current_out },
+            vars,
+            x,
+            pinned,
+            time,
+            dt,
+            method,
+            mult: 1.0,
+        };
+        for &idx in devices {
+            ctx.mult = circuit.device_mult[idx];
+            let dev = &circuit.devices[idx];
+            dev.stamp(&mut ctx);
+            dev.stamp_companions(&mut ctx);
+        }
     };
-    for (dev, &m) in circuit.devices.iter().zip(&circuit.device_mult) {
-        ctx.mult = m;
-        dev.stamp(&mut ctx);
-        dev.stamp_companions(&mut ctx);
+    pass(devices, current_out);
+    #[cfg(debug_assertions)]
+    {
+        let every: Vec<usize> = (0..circuit.devices.len()).collect();
+        let mut full = vec![0.0; current_out.len()];
+        pass(&every, &mut full);
+        for pin in &circuit.pins {
+            let node = pin.node.index();
+            assert_eq!(
+                current_out[node].to_bits(),
+                full[node].to_bits(),
+                "pin {} at t = {time}: the measured devices miss a current \
+                 (a `Device::terminals` list omits a node)",
+                pin.label
+            );
+        }
     }
 }
 

@@ -426,7 +426,8 @@ fn recover_step(
 /// In both policies a *measure* pass runs after every accepted step —
 /// before device state is committed, so companion models still see the
 /// previous state — recovering the current delivered by each pinned source
-/// and integrating per-source energy.
+/// and integrating per-source energy. It evaluates only the devices with a
+/// terminal on a pinned node ([`crate::Device::terminals`]).
 ///
 /// See the crate-level example and [`TransientOpts`] for usage; accepted /
 /// rejected / iteration counts are reported via
@@ -541,6 +542,7 @@ impl Transient {
         };
         let mut res = TransientResult::new(circuit, &recorded);
         let n_pins = circuit.pin_count();
+        let measured = circuit.measured_devices(vars);
         let mut current_out = vec![0.0; circuit.node_count()];
         let mut pin_power_prev = vec![0.0; n_pins];
         let mut pin_energy = vec![0.0; n_pins];
@@ -561,6 +563,7 @@ impl Transient {
         }
         newton::measure_currents(
             circuit,
+            &measured,
             vars,
             &x,
             &pinned,
@@ -713,6 +716,7 @@ impl Transient {
             // the previous state so capacitor/FeFET currents are exact.
             newton::measure_currents(
                 circuit,
+                &measured,
                 vars,
                 &x,
                 &pinned,
@@ -721,11 +725,7 @@ impl Transient {
                 opts.method,
                 &mut current_out,
             );
-            for (idx, kind) in vars.kinds.iter().enumerate() {
-                if matches!(kind, VarKind::Free(_)) {
-                    res.max_kcl_residual = res.max_kcl_residual.max(current_out[idx].abs());
-                }
-            }
+            res.max_kcl_residual = res.max_kcl_residual.max(ws.residual);
             // Commit device state, then account energies at the new state.
             {
                 let ctx = CommitCtx {

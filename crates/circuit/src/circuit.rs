@@ -357,6 +357,21 @@ impl Circuit {
         self.devices.iter().any(|d| d.is_nonlinear())
     }
 
+    /// Indices, in device order, of the devices the measure pass
+    /// evaluates: those with a [`Device::terminals`] entry on a pinned
+    /// node, and those that do not list their terminals. No other device
+    /// writes a current to a pinned node.
+    pub(crate) fn measured_devices(&self, vars: &VarMap) -> Vec<usize> {
+        let pinned = |node: &NodeId| matches!(vars.kinds[node.index()], VarKind::Pinned(_));
+        (0..self.devices.len())
+            .filter(|&idx| {
+                self.devices[idx]
+                    .terminals()
+                    .is_none_or(|nodes| nodes.iter().any(pinned))
+            })
+            .collect()
+    }
+
     /// Splits the device list into the static set (stamped once per time
     /// point into the baseline) and the dynamic set (restamped every
     /// Newton iteration), by index in insertion order.
@@ -373,6 +388,7 @@ impl Circuit {
             static_devices: Vec::new(),
             dynamic_devices: Vec::new(),
             all_linear: true,
+            time_varying: false,
         };
         for (idx, dev) in self.devices.iter().enumerate() {
             let class = if dev.is_nonlinear() {
@@ -385,6 +401,7 @@ impl Circuit {
                 crate::device::StampClass::TimeVarying => {
                     part.static_devices.push(idx);
                     part.all_linear = false;
+                    part.time_varying = true;
                 }
                 crate::device::StampClass::Dynamic => {
                     part.dynamic_devices.push(idx);
@@ -407,6 +424,9 @@ pub(crate) struct StampPartition {
     /// `true` when every device is `Linear`, making the matrix identical
     /// across time points at a fixed `(dt, method, gmin)`.
     pub all_linear: bool,
+    /// `true` when some device is `TimeVarying`: the static set's matrix
+    /// stamp then moves between time points.
+    pub time_varying: bool,
 }
 
 #[cfg(test)]

@@ -40,7 +40,10 @@ impl std::fmt::Display for DeviceId {
 pub enum StampClass {
     /// Matrix stamp depends only on `(dt, method)` — constant across all
     /// Newton iterations *and* all time points at a fixed step size
-    /// (resistors, capacitor companions, ideal source branch rows).
+    /// (resistors, capacitor companions, ideal source branch rows). When
+    /// no device is [`StampClass::TimeVarying`], the Newton loop keeps the
+    /// baseline matrix of a `(dt, method, gmin)` key and, at later time
+    /// points with the same key, restamps only the right-hand side.
     Linear,
     /// Matrix stamp depends on time but not on the candidate solution
     /// (timed switches): constant within one time point's Newton loop,
@@ -56,11 +59,12 @@ pub enum StampClass {
 /// The simulator drives devices through four entry points:
 ///
 /// 1. [`Device::stamp`] — called on every Newton iteration (and once more in
-///    *measure* mode after convergence). The device reads candidate node
-///    voltages from the [`StampCtx`] and contributes conductances, (trans-)
-///    conductances and equivalent current sources. Using the same method for
-///    assembly and measurement guarantees the measured terminal currents are
-///    exactly the converged model currents.
+///    *measure* mode after convergence, for devices with a
+///    [`Device::terminals`] entry on a pinned node). The device reads
+///    candidate node voltages from the [`StampCtx`] and contributes
+///    conductances, (trans-)conductances and equivalent current sources.
+///    Using the same method for assembly and measurement guarantees the
+///    measured terminal currents are exactly the converged model currents.
 /// 2. [`Device::stamp_companions`] — the part of a dynamic device's stamp
 ///    that is fixed within one time point (linear companion capacitors,
 ///    lagged currents). The Newton loop stamps it once per time point with
@@ -88,8 +92,27 @@ pub trait Device: Any + std::fmt::Debug + Send {
     /// calls it once per time point into the baseline snapshot for
     /// [`StampClass::Dynamic`] devices, whose [`Device::stamp`] alone is
     /// then restamped every iteration. The default stamps nothing.
+    ///
+    /// The *matrix* part of this stamp may depend only on `dt` and the
+    /// integration method, like a [`StampClass::Linear`] stamp: the Newton
+    /// loop caches the baseline matrix per `(dt, method, gmin)` and calls
+    /// this method for the right-hand side alone while the key holds. The
+    /// right-hand side may depend on committed state and time.
     fn stamp_companions(&self, ctx: &mut StampCtx<'_>) {
         let _ = ctx;
+    }
+
+    /// The nodes this device passes current through: every node any of
+    /// its stamps writes a current to, in measure mode. `None`, the
+    /// default, means unknown.
+    ///
+    /// After each accepted step the measure pass evaluates, in device
+    /// order, only the devices with a listed node pinned to an ideal source
+    /// (and every device returning `None`), so a list that omits a node the
+    /// device drives loses that current from the source's energy. Called
+    /// once per analysis.
+    fn terminals(&self) -> Option<Vec<NodeId>> {
+        None
     }
 
     /// Number of extra branch-current unknowns required.

@@ -134,13 +134,21 @@ impl Device for Capacitor {
         StampClass::Linear
     }
 
+    fn terminals(&self) -> Option<Vec<NodeId>> {
+        Some(vec![self.a, self.b])
+    }
+
     fn commit(&mut self, ctx: &CommitCtx<'_>) {
         let v = ctx.v(self.a) - ctx.v(self.b);
-        if let Some(dt) = ctx.dt() {
-            let (geq, ieq) = self.companion(dt, ctx.method());
-            self.i_prev = geq * v + ieq;
-        } else {
-            self.i_prev = 0.0;
+        // Only the trapezoidal companion reads `i_prev`; under backward
+        // Euler it stays at the zero `init` or `set_voltage` gave it.
+        match ctx.dt() {
+            Some(dt) if ctx.method() == IntegrationMethod::Trapezoidal => {
+                let (geq, ieq) = self.companion(dt, ctx.method());
+                self.i_prev = geq * v + ieq;
+            }
+            Some(_) => {}
+            None => self.i_prev = 0.0,
         }
         self.v_prev = v;
     }

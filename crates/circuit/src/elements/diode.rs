@@ -97,6 +97,10 @@ impl Device for Diode {
     fn stamp_class(&self) -> StampClass {
         StampClass::Dynamic
     }
+
+    fn terminals(&self) -> Option<Vec<NodeId>> {
+        Some(vec![self.anode, self.cathode])
+    }
 }
 
 #[cfg(test)]

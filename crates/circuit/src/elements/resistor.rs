@@ -56,11 +56,6 @@ impl Resistor {
         );
         self.conductance = 1.0 / ohms;
     }
-
-    /// The two terminals `(a, b)`.
-    pub fn terminals(&self) -> (NodeId, NodeId) {
-        (self.a, self.b)
-    }
 }
 
 impl Device for Resistor {
@@ -70,6 +65,10 @@ impl Device for Resistor {
 
     fn stamp_class(&self) -> StampClass {
         StampClass::Linear
+    }
+
+    fn terminals(&self) -> Option<Vec<NodeId>> {
+        Some(vec![self.a, self.b])
     }
 
     fn spice_lines(&self, names: &dyn Fn(NodeId) -> String, label: &str) -> Option<String> {
@@ -96,6 +95,6 @@ mod tests {
     fn stores_conductance() {
         let r = Resistor::new(NodeId(1), NodeId(2), 4e3);
         assert!((r.resistance() - 4e3).abs() < 1e-9);
-        assert_eq!(r.terminals(), (NodeId(1), NodeId(2)));
+        assert_eq!(r.terminals(), Some(vec![NodeId(1), NodeId(2)]));
     }
 }

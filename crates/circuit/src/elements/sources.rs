@@ -69,6 +69,10 @@ impl Device for VoltageSource {
         StampClass::Linear
     }
 
+    fn terminals(&self) -> Option<Vec<NodeId>> {
+        Some(vec![self.plus, self.minus])
+    }
+
     fn branch_count(&self) -> usize {
         1
     }
@@ -126,6 +130,10 @@ impl Device for CurrentSource {
     // Pure rhs contribution; no matrix stamp at all.
     fn stamp_class(&self) -> StampClass {
         StampClass::Linear
+    }
+
+    fn terminals(&self) -> Option<Vec<NodeId>> {
+        Some(vec![self.from, self.to])
     }
 
     fn breakpoints(&self, t_stop: f64) -> Vec<f64> {

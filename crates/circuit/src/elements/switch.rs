@@ -111,6 +111,10 @@ impl Device for TimedSwitch {
         StampClass::TimeVarying
     }
 
+    fn terminals(&self) -> Option<Vec<NodeId>> {
+        Some(vec![self.a, self.b])
+    }
+
     fn breakpoints(&self, t_stop: f64) -> Vec<f64> {
         self.schedule
             .iter()

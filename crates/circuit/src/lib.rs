@@ -54,8 +54,12 @@
 //! correctness never depends on the no-pivot path
 //! ([`linalg::SystemMatrix`]). The Newton loop stamps
 //! each time point's fixed part once and restamps only what moves with
-//! the iterate ([`HotPath`], [`Device::stamp_companions`]); see
-//! `DESIGN.md` §5.
+//! the iterate ([`HotPath`], [`Device::stamp_companions`]); at an
+//! unchanged `(dt, method, gmin)` it restores the fixed part's matrix and
+//! stamps only its right-hand side. After each accepted step only the
+//! devices with a terminal on a pinned source are evaluated again, to
+//! meter the sources ([`Device::terminals`]); the KCL figure is the
+//! residual of the last Newton load. See `DESIGN.md` §5.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -195,11 +195,15 @@ counters! {
         /// Newton iterations solved against frozen factors (chord iterations
         /// plus whole-step LU bypasses).
         lu_bypasses,
-        /// Static-device baseline snapshots taken (one per `(time, dt,
-        /// method)` point, plus one per matrix structure change).
+        /// Static-device baselines stamped in full into a cleared matrix:
+        /// one per new `(dt, method, gmin)` key or matrix structure change,
+        /// and one per time point when a timed switch is present or the
+        /// `incremental` layer is off.
         baseline_snapshots,
-        /// Newton iterations that started from a baseline restore instead of
-        /// a full restamp.
+        /// Newton iterations that started from a restored baseline matrix
+        /// instead of a full restamp, including first iterations that
+        /// restored the cached matrix and restamped only the right-hand
+        /// side.
         baseline_reuses,
         /// Assembly passes served by tape replay (pure `values[slot] += v`
         /// writes, zero hashing).
@@ -502,8 +506,10 @@ impl TransientResult {
         self.solver
     }
 
-    /// Worst KCL residual observed at any free node (amps) — an internal
-    /// consistency figure; large values indicate a solver problem.
+    /// Worst free-node KCL residual `|z − A·x|` (amps) over the accepted
+    /// steps, each of the last Newton load (`A`, `z`) at the accepted `x` —
+    /// an internal consistency figure; large values indicate a solver
+    /// problem.
     pub fn max_kcl_residual(&self) -> f64 {
         self.max_kcl_residual
     }

@@ -2,12 +2,14 @@
 //!
 //! The same [`StampCtx`] serves two modes:
 //!
-//! * **Assemble** — build the Newton-linearised MNA system `A·x = z`.
-//! * **Measure** — after convergence, re-run the stamps to accumulate the
-//!   exact terminal current flowing out of every node. Pinned-source nodes
-//!   then directly yield the current each ideal source delivers, which feeds
-//!   the energy meter; free nodes must sum to ≈ 0 (KCL), which doubles as an
-//!   internal consistency check.
+//! * **Assemble** — build the Newton-linearised MNA system `A·x = z`, or
+//!   only its right-hand side `z` when the matrix values were restored from
+//!   a cached baseline.
+//! * **Measure** — after convergence, re-run the stamps of the devices
+//!   touching a pinned node to accumulate the exact current each ideal
+//!   source delivers, which feeds the energy meter. Free-node entries are
+//!   partial sums and are not read: the KCL check is the residual `z − A·x`
+//!   of the last Newton load (see `analysis::newton`).
 
 use serde::{Deserialize, Serialize};
 
@@ -69,7 +71,9 @@ fn node_v(vars: &VarMap, x: &[f64], pinned: &[f64], node: NodeId) -> f64 {
 
 pub(crate) enum StampMode<'a> {
     Assemble {
-        matrix: &'a mut SystemMatrix,
+        /// `None` stamps the right-hand side only: the matrix values were
+        /// restored from a baseline taken at the same `(dt, method, gmin)`.
+        matrix: Option<&'a mut SystemMatrix>,
         rhs: &'a mut [f64],
     },
     Measure {
@@ -174,7 +178,11 @@ impl<'a> StampCtx<'a> {
                     for (cn, cs) in ctrls {
                         let coeff = rs * cs * g;
                         match vars.kinds[cn.index()] {
-                            VarKind::Free(col) => matrix.add(row, col, coeff),
+                            VarKind::Free(col) => {
+                                if let Some(m) = matrix {
+                                    m.add(row, col, coeff);
+                                }
+                            }
                             VarKind::Ground => {}
                             VarKind::Pinned(p) => rhs[row] -= coeff * pinned[p],
                         }
@@ -221,6 +229,15 @@ impl<'a> StampCtx<'a> {
                 current_out[minus.index()] -= i;
             }
             StampMode::Assemble { matrix, rhs } => {
+                // Branch row: v_plus − v_minus = v.
+                let brow = bcol;
+                rhs[brow] += v;
+                for (node, sign) in [(plus, 1.0), (minus, -1.0)] {
+                    if let VarKind::Pinned(p) = vars.kinds[node.index()] {
+                        rhs[brow] -= sign * pinned[p];
+                    }
+                }
+                let Some(matrix) = matrix else { return };
                 // KCL rows: branch current leaves `plus`, enters `minus`.
                 if let VarKind::Free(row) = vars.kinds[plus.index()] {
                     matrix.add(row, bcol, m);
@@ -228,14 +245,9 @@ impl<'a> StampCtx<'a> {
                 if let VarKind::Free(row) = vars.kinds[minus.index()] {
                     matrix.add(row, bcol, -m);
                 }
-                // Branch row: v_plus − v_minus = v.
-                let brow = bcol;
-                rhs[brow] += v;
                 for (node, sign) in [(plus, 1.0), (minus, -1.0)] {
-                    match vars.kinds[node.index()] {
-                        VarKind::Free(col) => matrix.add(brow, col, sign),
-                        VarKind::Ground => {}
-                        VarKind::Pinned(p) => rhs[brow] -= sign * pinned[p],
+                    if let VarKind::Free(col) = vars.kinds[node.index()] {
+                        matrix.add(brow, col, sign);
                     }
                 }
             }

@@ -15,7 +15,7 @@ use ftcam_circuit::elements::{
     Capacitor, CurrentSource, Diode, Resistor, TimedSwitch, VoltageSource,
 };
 use ftcam_circuit::waveform::Waveform;
-use ftcam_circuit::{Circuit, HotPath, NewtonSettings, NodeId};
+use ftcam_circuit::{Circuit, HotPath, NewtonSettings, NodeId, TransientResult};
 use proptest::prelude::*;
 
 /// Parameters of one randomized ladder circuit mixing every stamp class.
@@ -260,4 +260,110 @@ fn hot_path_runs_on_the_dense_fallback() {
             assert!((x - y).abs() < 1e-3, "{node}: hot {x} vs legacy {y}");
         }
     }
+}
+
+/// An inverter driving a FeFET's drain while a write pulse on the FeFET's
+/// gate switches its polarization: every device class the baseline cache
+/// holds, companions and lagged displacement current included. With
+/// `switch`, a timed switch from ground to ground, which stamps nothing,
+/// keeps the Newton loop from caching the baseline.
+fn inverter_fefet(switch: bool) -> Circuit {
+    use ftcam_devices::{FeFet, Mosfet, TechCard};
+    let card = TechCard::hp45();
+    let mut ckt = Circuit::new();
+    let vdd = ckt.node("vdd");
+    let input = ckt.node("in");
+    let out = ckt.node("out");
+    let wl = ckt.node("wl");
+    let gate = ckt.node("gate");
+    ckt.pin(vdd, "VDD", Waveform::dc(card.vdd)).expect("pin");
+    ckt.pin(
+        input,
+        "VIN",
+        Waveform::pulse(0.0, card.vdd, 5e-12, 1e-12, 1e-12, 10e-12),
+    )
+    .expect("pin");
+    ckt.pin(
+        wl,
+        "VWL",
+        Waveform::pulse(0.0, card.vprog, 4e-12, 2e-12, 2e-12, 12e-12),
+    )
+    .expect("pin");
+    ckt.add(Mosfet::new(card.pmos.clone(), out, input, vdd));
+    ckt.add(Mosfet::new(card.nmos.clone(), out, input, ckt.ground()));
+    ckt.add(Capacitor::new(out, ckt.ground(), 1e-15));
+    ckt.add(Resistor::new(wl, gate, 1e3));
+    ckt.add(FeFet::new(card.fefet.clone(), out, gate, ckt.ground()));
+    if switch {
+        let gnd = ckt.ground();
+        ckt.add(TimedSwitch::new(gnd, gnd, 1.0, 1e9, false, Vec::new()));
+    }
+    ckt
+}
+
+/// The baseline matrix cached across time points is exactly a full
+/// restamp: the switch-free run restores it at most time points and
+/// restamps only the right-hand side, the run with the switch restamps
+/// everything at every one, and every voltage sample and supply energy
+/// agrees to the bit, over a run whose write edge halves the step.
+/// (Debug builds also compare each cached matrix and right-hand side with
+/// a full restamp in the Newton loop itself.)
+#[test]
+fn cached_baseline_equals_a_full_restamp() {
+    // Four iterations are too few for the write edge: the step halves.
+    let opts =
+        TransientOpts::new(1e-12, 30e-12).with_newton(NewtonSettings::default().with_max_iters(4));
+    let run = |switch: bool| {
+        let mut ckt = inverter_fefet(switch);
+        Transient::new(opts.clone())
+            .run(&mut ckt)
+            .expect("transient")
+    };
+    let (cached, full) = (run(false), run(true));
+    let steps = cached.step_stats();
+    assert_eq!(steps, full.step_stats());
+    assert!(steps.accepted >= 20 && steps.halvings > 0, "{steps:?}");
+    // Every solve of the switch run snapshots a fresh baseline; the cache
+    // serves some of the other run's.
+    let snapshots = |r: &TransientResult| r.solver_perf().baseline_snapshots;
+    assert!(snapshots(&full) >= steps.accepted);
+    assert!(
+        snapshots(&cached) < snapshots(&full),
+        "{:?}",
+        cached.solver_perf()
+    );
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(cached.times()), bits(full.times()));
+    for node in ["in", "out", "wl", "gate", "vdd"] {
+        let (a, b) = (cached.trace(node).unwrap(), full.trace(node).unwrap());
+        assert_eq!(bits(a.values()), bits(b.values()), "node {node}");
+    }
+    for pin in ["VDD", "VIN", "VWL"] {
+        let (a, b) = (cached.supply_energy(pin), full.supply_energy(pin));
+        assert_eq!(a.unwrap().to_bits(), b.unwrap().to_bits(), "pin {pin}");
+    }
+}
+
+/// A timed switch moves the static matrix between time points, so a
+/// netlist with one never takes the cached baseline: every Newton call
+/// stamps a fresh one.
+#[test]
+fn timed_switch_netlists_never_take_the_cache() {
+    let p = LadderParams {
+        stages: 3,
+        r: 1e4,
+        c: 5e-15,
+        vdd: 1.0,
+        with_diode: true,
+        with_switch: true,
+        with_isource: false,
+    };
+    let (mut ckt, _) = build_ladder(&p);
+    let res = Transient::new(TransientOpts::new(10e-12, 2e-9))
+        .run(&mut ckt)
+        .expect("transient");
+    let (steps, perf) = (res.step_stats(), res.solver_perf());
+    assert_eq!(steps.rejected + steps.halvings, 0);
+    // One Newton call per accepted step, each with a fresh baseline.
+    assert_eq!(perf.baseline_snapshots, steps.accepted, "{perf:?}");
 }

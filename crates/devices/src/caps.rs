@@ -44,11 +44,15 @@ impl CapState {
 
     pub fn commit(&mut self, ctx: &CommitCtx<'_>, a: NodeId, b: NodeId) {
         let v = ctx.v(a) - ctx.v(b);
-        if let Some(dt) = ctx.dt() {
-            let (g, ieq) = self.companion(dt, ctx.method());
-            self.i_prev = g * v + ieq;
-        } else {
-            self.i_prev = 0.0;
+        // Only the trapezoidal companion reads `i_prev`; under backward
+        // Euler it stays at the zero `init` gave it.
+        match ctx.dt() {
+            Some(dt) if ctx.method() == IntegrationMethod::Trapezoidal => {
+                let (g, ieq) = self.companion(dt, ctx.method());
+                self.i_prev = g * v + ieq;
+            }
+            Some(_) => {}
+            None => self.i_prev = 0.0,
         }
         self.v_prev = v;
     }

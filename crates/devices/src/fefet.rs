@@ -302,6 +302,11 @@ impl Device for FeFet {
     fn stamp_class(&self) -> StampClass {
         StampClass::Dynamic
     }
+
+    // The junction capacitances return through the implicit bulk.
+    fn terminals(&self) -> Option<Vec<NodeId>> {
+        Some(vec![self.drain, self.gate, self.source, NodeId::GROUND])
+    }
 }
 
 #[cfg(test)]

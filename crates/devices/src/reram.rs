@@ -114,6 +114,10 @@ impl Device for Reram {
     fn stamp_class(&self) -> StampClass {
         StampClass::Linear
     }
+
+    fn terminals(&self) -> Option<Vec<NodeId>> {
+        Some(vec![self.a, self.b])
+    }
 }
 
 #[cfg(test)]
