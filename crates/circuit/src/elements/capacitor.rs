@@ -123,8 +123,7 @@ impl Device for Capacitor {
             return; // open circuit in DC
         };
         let (geq, ieq) = self.companion(dt, ctx.method());
-        ctx.stamp_conductance(self.a, self.b, geq);
-        ctx.stamp_current(self.a, self.b, ieq);
+        ctx.stamp_norton(self.a, self.b, geq, ieq);
     }
 
     // The companion conductance C/dt (or 2C/dt) depends only on (dt,

@@ -86,8 +86,7 @@ impl Device for Diode {
         let v = ctx.v(self.anode) - ctx.v(self.cathode);
         let (i, g) = self.current_and_conductance(v);
         // Companion: i(v*) + g·(v − v*) = g·v + (i − g·v*).
-        ctx.stamp_conductance(self.anode, self.cathode, g);
-        ctx.stamp_current(self.anode, self.cathode, i - g * v);
+        ctx.stamp_norton(self.anode, self.cathode, g, i - g * v);
     }
 
     fn is_nonlinear(&self) -> bool {

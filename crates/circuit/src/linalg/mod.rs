@@ -228,22 +228,35 @@ impl SystemMatrix {
     /// Inside a replay pass this is a verified `values[slot] += value`
     /// array write; inside a record pass the resolved slot is captured for
     /// future replays; otherwise it is a plain hash-path add.
+    #[inline]
     pub fn add(&mut self, row: usize, col: usize, value: f64) {
-        if let TapeMode::Replay { tape, pos, live } = &mut self.tape {
-            if *live {
-                if let Some(e) = tape.entries.get(*pos) {
-                    if e.row == row as u32 && e.col == col as u32 {
-                        *pos += 1;
-                        self.sparse.add_slot(e.slot, value);
-                        return;
-                    }
+        if let TapeMode::Replay {
+            tape,
+            pos,
+            live: true,
+        } = &mut self.tape
+        {
+            if let Some(e) = tape.entries.get(*pos) {
+                if e.row == row as u32 && e.col == col as u32 {
+                    *pos += 1;
+                    self.sparse.add_slot(e.slot, value);
+                    return;
                 }
-                // Mismatch (or tape exhausted early): the replayed prefix
-                // was verified against the recorded coordinates, so the
-                // matrix is still correct — degrade this and the remaining
-                // adds of the pass to the hash path and drop the tape.
-                *live = false;
             }
+        }
+        self.add_unreplayed(row, col, value);
+    }
+
+    /// The out-of-line rest of [`SystemMatrix::add`]: a replay mismatch, a
+    /// record pass or no tape at all.
+    #[inline(never)]
+    fn add_unreplayed(&mut self, row: usize, col: usize, value: f64) {
+        if let TapeMode::Replay { live, .. } = &mut self.tape {
+            // Mismatch (or tape exhausted early): the replayed prefix was
+            // verified against the recorded coordinates, so the matrix is
+            // still correct — degrade this and the remaining adds of the
+            // pass to the hash path and drop the tape.
+            *live = false;
         }
         let (slot, grew) = self.sparse.add(row, col, value);
         if grew {

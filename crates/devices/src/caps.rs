@@ -1,11 +1,11 @@
 //! Internal linear-capacitor companion state shared by MOSFET and FeFET.
 
-use ftcam_circuit::{CommitCtx, IntegrationMethod, NodeId, StampCtx};
+use ftcam_circuit::{IntegrationMethod, NodeId, StampCtx};
 
 /// One linear capacitance folded into a multi-terminal device.
 #[derive(Debug, Clone)]
 pub(crate) struct CapState {
-    pub c: f64,
+    c: f64,
     v_prev: f64,
     i_prev: f64,
 }
@@ -38,17 +38,17 @@ impl CapState {
         }
         let Some(dt) = ctx.dt() else { return };
         let (g, ieq) = self.companion(dt, ctx.method());
-        ctx.stamp_conductance(a, b, g);
-        ctx.stamp_current(a, b, ieq);
+        ctx.stamp_norton(a, b, g, ieq);
     }
 
-    pub fn commit(&mut self, ctx: &CommitCtx<'_>, a: NodeId, b: NodeId) {
-        let v = ctx.v(a) - ctx.v(b);
+    /// Commits the voltage `v` across the capacitance at the step `dt`
+    /// just accepted (`None` right after DC).
+    pub fn commit_v(&mut self, v: f64, dt: Option<f64>, method: IntegrationMethod) {
         // Only the trapezoidal companion reads `i_prev`; under backward
-        // Euler it stays at the zero `init` gave it.
-        match ctx.dt() {
-            Some(dt) if ctx.method() == IntegrationMethod::Trapezoidal => {
-                let (g, ieq) = self.companion(dt, ctx.method());
+        // Euler it stays at the zero `init_v` gave it.
+        match dt {
+            Some(dt) if method == IntegrationMethod::Trapezoidal => {
+                let (g, ieq) = self.companion(dt, method);
                 self.i_prev = g * v + ieq;
             }
             Some(_) => {}
@@ -57,8 +57,55 @@ impl CapState {
         self.v_prev = v;
     }
 
-    pub fn init(&mut self, ctx: &CommitCtx<'_>, a: NodeId, b: NodeId) {
-        self.v_prev = ctx.v(a) - ctx.v(b);
+    /// Starts the history at voltage `v` with no current.
+    pub fn init_v(&mut self, v: f64) {
+        self.v_prev = v;
         self.i_prev = 0.0;
+    }
+}
+
+/// The four capacitances of a transistor: gate–source, gate–drain, and
+/// the drain and source junctions to the implicit grounded bulk.
+#[derive(Debug, Clone)]
+pub(crate) struct TerminalCaps {
+    cgs: CapState,
+    cgd: CapState,
+    cdb: CapState,
+    csb: CapState,
+}
+
+impl TerminalCaps {
+    /// Gate capacitances `c_gate` each and junctions `c_junction` each.
+    pub fn new(c_gate: f64, c_junction: f64) -> Self {
+        Self {
+            cgs: CapState::new(c_gate),
+            cgd: CapState::new(c_gate),
+            cdb: CapState::new(c_junction),
+            csb: CapState::new(c_junction),
+        }
+    }
+
+    pub fn stamp(&self, ctx: &mut StampCtx<'_>, d: NodeId, g: NodeId, s: NodeId) {
+        self.cgs.stamp(ctx, g, s);
+        self.cgd.stamp(ctx, g, d);
+        self.cdb.stamp(ctx, d, NodeId::GROUND);
+        self.csb.stamp(ctx, s, NodeId::GROUND);
+    }
+
+    /// Commits the terminal voltages `(v_d, v_g, v_s)`, each read once
+    /// by the caller.
+    pub fn commit_v(&mut self, [vd, vg, vs]: [f64; 3], dt: Option<f64>, method: IntegrationMethod) {
+        self.cgs.commit_v(vg - vs, dt, method);
+        self.cgd.commit_v(vg - vd, dt, method);
+        self.cdb.commit_v(vd, dt, method);
+        self.csb.commit_v(vs, dt, method);
+    }
+
+    /// Starts every history at the terminal voltages `(v_d, v_g, v_s)`.
+    pub fn init_v(&mut self, [vd, vg, vs]: [f64; 3]) {
+        self.cgs.init_v(vg - vs);
+        self.cgd.init_v(vg - vd);
+        self.cdb.init_v(vd);
+        self.csb.init_v(vs);
     }
 }

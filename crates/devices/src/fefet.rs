@@ -24,9 +24,9 @@
 use ftcam_circuit::{CommitCtx, Device, NodeId, StampClass, StampCtx};
 use serde::{Deserialize, Serialize};
 
-use crate::caps::CapState;
+use crate::caps::TerminalCaps;
 use crate::ferro::{FerroParams, Polarization};
-use crate::mosfet::{Mosfet, MosfetParams, Polarity};
+use crate::mosfet::{drain_current_at, stamp_channel_at, MosfetParams};
 
 /// FeFET card parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -97,10 +97,7 @@ pub struct FeFet {
     gate: NodeId,
     source: NodeId,
     polarization: Polarization,
-    cgs: CapState,
-    cgd: CapState,
-    cdb: CapState,
-    csb: CapState,
+    caps: TerminalCaps,
     /// Ferroelectric switching charge from the last committed step
     /// (coulombs, gate → source), injected during the next step as a
     /// current `q / dt`. Dividing by the *live* step's `dt` at stamp time
@@ -117,20 +114,14 @@ pub struct FeFet {
 impl FeFet {
     /// Creates a FeFET with the given card and terminals, at `p = 0`.
     pub fn new(params: FeFetParams, drain: NodeId, gate: NodeId, source: NodeId) -> Self {
-        let cgs = CapState::new(params.mosfet.cgs());
-        let cgd = CapState::new(params.mosfet.cgs());
-        let cdb = CapState::new(params.mosfet.cjunction());
-        let csb = CapState::new(params.mosfet.cjunction());
+        let caps = TerminalCaps::new(params.mosfet.cgs(), params.mosfet.cjunction());
         Self {
             params,
             drain,
             gate,
             source,
             polarization: Polarization::default(),
-            cgs,
-            cgd,
-            cdb,
-            csb,
+            caps,
             q_fe_lag: 0.0,
             switching_energy: 0.0,
             dt_hint: None,
@@ -178,22 +169,9 @@ impl FeFet {
         self.switching_energy += joules;
     }
 
-    fn effective_mosfet(&self) -> MosfetParams {
-        MosfetParams {
-            vth: self.threshold_voltage(),
-            ..self.params.mosfet.clone()
-        }
-    }
-
     /// Drain current at explicit terminal voltages with the current state.
     pub fn drain_current(&self, vg: f64, vd: f64, vs: f64) -> f64 {
-        let p = self.effective_mosfet();
-        let (sign, vgs, vds) = match p.polarity {
-            Polarity::Nmos => (1.0, vg - vs, vd - vs),
-            Polarity::Pmos => (-1.0, vs - vg, vs - vd),
-        };
-        let (i, _, _) = Mosfet::channel_currents(&p, vgs, vds);
-        sign * i
+        drain_current_at(&self.params.mosfet, self.threshold_voltage(), vg, vd, vs)
     }
 }
 
@@ -215,31 +193,13 @@ impl Device for FeFet {
 
     fn stamp(&self, ctx: &mut StampCtx<'_>) {
         // Channel with polarization-shifted threshold.
-        let p = self.effective_mosfet();
-        let vg = ctx.v(self.gate);
-        let vd = ctx.v(self.drain);
-        let vs = ctx.v(self.source);
-        let (vgs_eq, vds_eq) = match p.polarity {
-            Polarity::Nmos => (vg - vs, vd - vs),
-            Polarity::Pmos => (vs - vg, vs - vd),
-        };
-        let (i_eqv, gm, gds) = Mosfet::channel_currents(&p, vgs_eq, vds_eq);
-        let i_ds = match p.polarity {
-            Polarity::Nmos => i_eqv,
-            Polarity::Pmos => -i_eqv,
-        };
-        let ieq = i_ds - gm * (vg - vs) - gds * (vd - vs);
-        ctx.stamp_transconductance(self.drain, self.source, self.gate, self.source, gm);
-        ctx.stamp_conductance(self.drain, self.source, gds);
-        ctx.stamp_current(self.drain, self.source, ieq);
+        let nodes = [self.drain, self.gate, self.source];
+        stamp_channel_at(&self.params.mosfet, self.threshold_voltage(), nodes, ctx);
     }
 
     fn stamp_companions(&self, ctx: &mut StampCtx<'_>) {
         // Gate stack capacitances.
-        self.cgs.stamp(ctx, self.gate, self.source);
-        self.cgd.stamp(ctx, self.gate, self.drain);
-        self.cdb.stamp(ctx, self.drain, NodeId::GROUND);
-        self.csb.stamp(ctx, self.source, NodeId::GROUND);
+        self.caps.stamp(ctx, self.drain, self.gate, self.source);
         // Lagged ferroelectric displacement current (gate → source).
         if !ctx.is_dc() && self.q_fe_lag != 0.0 {
             if let Some(dt) = ctx.dt() {
@@ -249,12 +209,10 @@ impl Device for FeFet {
     }
 
     fn commit(&mut self, ctx: &CommitCtx<'_>) {
-        self.cgs.commit(ctx, self.gate, self.source);
-        self.cgd.commit(ctx, self.gate, self.drain);
-        self.cdb.commit(ctx, self.drain, NodeId::GROUND);
-        self.csb.commit(ctx, self.source, NodeId::GROUND);
+        let (vd, vg, vs) = (ctx.v(self.drain), ctx.v(self.gate), ctx.v(self.source));
+        self.caps.commit_v([vd, vg, vs], ctx.dt(), ctx.method());
         if let Some(dt) = ctx.dt() {
-            let vgs = ctx.v(self.gate) - ctx.v(self.source);
+            let vgs = vg - vs;
             let v_fe = self.params.fe_coupling * vgs;
             let dp = self.polarization.advance(&self.params.ferro, v_fe, dt);
             // Switching charge flows through the gate: q = P_r·A·dp.
@@ -285,10 +243,8 @@ impl Device for FeFet {
     }
 
     fn init(&mut self, ctx: &CommitCtx<'_>, _uic: bool) {
-        self.cgs.init(ctx, self.gate, self.source);
-        self.cgd.init(ctx, self.gate, self.drain);
-        self.cdb.init(ctx, self.drain, NodeId::GROUND);
-        self.csb.init(ctx, self.source, NodeId::GROUND);
+        self.caps
+            .init_v([ctx.v(self.drain), ctx.v(self.gate), ctx.v(self.source)]);
         self.q_fe_lag = 0.0;
         self.dt_hint = None;
     }

@@ -17,7 +17,7 @@
 use ftcam_circuit::{CommitCtx, Device, NodeId, StampClass, StampCtx};
 use serde::{Deserialize, Serialize};
 
-use crate::caps::CapState;
+use crate::caps::TerminalCaps;
 
 /// Channel polarity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -93,6 +93,84 @@ fn softplus_sigmoid(u: f64) -> (f64, f64) {
     }
 }
 
+/// Drain current and derivatives `(i_d, gm, gds)` of the *n-equivalent*
+/// channel of card `p` at threshold `vth`, which replaces the card's own
+/// (a FeFET shifts it with its polarization); see
+/// [`Mosfet::channel_currents`].
+#[inline(always)]
+pub(crate) fn channel_currents_at(
+    p: &MosfetParams,
+    vth: f64,
+    vgs: f64,
+    vds: f64,
+) -> (f64, f64, f64) {
+    let ispec = p.specific_current();
+    let denom = 2.0 * p.n * p.vt;
+    let ugs = (vgs - vth) / denom;
+    let ugd = (vgs - vds - vth) / denom;
+    let (fs, sgs) = softplus_sigmoid(ugs);
+    let (fd, sgd) = softplus_sigmoid(ugd);
+    let dfs = sgs / denom; // d softplus(ugs) / d vgs
+    let dfd = sgd / denom;
+    // F = f², dF/dv = 2·f·f'.
+    let ff = fs * fs - fd * fd;
+    let clm = 1.0 + p.lambda * vds.abs();
+    let dclm_dvds = p.lambda * vds.signum();
+    let i = ispec * ff * clm;
+    // ∂/∂vgs: both ugs and ugd move with vgs.
+    let dff_dvgs = 2.0 * (fs * dfs - fd * dfd);
+    // ∂/∂vds: only ugd (−1) and CLM move with vds.
+    let dff_dvds = 2.0 * fd * dfd;
+    let gm = ispec * dff_dvgs * clm;
+    let gds = ispec * (dff_dvds * clm + ff * dclm_dvds);
+    (i, gm, gds)
+}
+
+/// `(sign, v_gs, v_ds)` of the n-equivalent channel at the actual terminal
+/// voltages: a PMOS mirrors both voltages, and its drain-to-source current
+/// is the n-equivalent current times `sign = −1`.
+#[inline]
+fn n_equivalent(polarity: Polarity, vg: f64, vd: f64, vs: f64) -> (f64, f64, f64) {
+    match polarity {
+        Polarity::Nmos => (1.0, vg - vs, vd - vs),
+        Polarity::Pmos => (-1.0, vs - vg, vs - vd),
+    }
+}
+
+/// Drain-to-source current of card `p` at threshold `vth` and explicit
+/// terminal voltages.
+pub(crate) fn drain_current_at(p: &MosfetParams, vth: f64, vg: f64, vd: f64, vs: f64) -> f64 {
+    let (sign, vgs, vds) = n_equivalent(p.polarity, vg, vd, vs);
+    let (i, _, _) = channel_currents_at(p, vth, vgs, vds);
+    sign * i
+}
+
+/// Stamps the linearised channel of card `p` at threshold `vth` between
+/// drain `d`, gate `g` and source `s`: the one channel stamp of both
+/// [`Mosfet`] and [`crate::FeFet`].
+pub(crate) fn stamp_channel_at(
+    p: &MosfetParams,
+    vth: f64,
+    [d, g, s]: [NodeId; 3],
+    ctx: &mut StampCtx<'_>,
+) {
+    let vg = ctx.v(g);
+    let vd = ctx.v(d);
+    let vs = ctx.v(s);
+    let (sign, vgs_eq, vds_eq) = n_equivalent(p.polarity, vg, vd, vs);
+    let (i_eqv, gm, gds) = channel_currents_at(p, vth, vgs_eq, vds_eq);
+    // Linearise the drain-to-source current about the candidate point:
+    //   I_ds ≈ i_ds + gm·Δ(v_g − v_s) + gds·Δ(v_d − v_s).
+    // For a PMOS, I_ds = −I_n(v_s − v_g, v_s − v_d), so by the chain rule
+    // ∂I_ds/∂v_g = −∂I_n/∂v_gs·(−1) = gm and likewise ∂I_ds/∂v_d = gds:
+    // both polarities stamp the same positive conductances, and only the
+    // current `i_ds` carries the polarity sign. What the conductances do
+    // not model at the candidate point is the constant `ieq`.
+    let i_ds = sign * i_eqv;
+    let ieq = i_ds - gm * (vg - vs) - gds * (vd - vs);
+    ctx.stamp_channel(d, g, s, gm, gds, ieq);
+}
+
 /// A four-terminal (D, G, S + implicit bulk at ground) MOSFET.
 ///
 /// Gate capacitances (C_GS, C_GD) and junction capacitances are folded into
@@ -104,28 +182,19 @@ pub struct Mosfet {
     drain: NodeId,
     gate: NodeId,
     source: NodeId,
-    cgs: CapState,
-    cgd: CapState,
-    cdb: CapState,
-    csb: CapState,
+    caps: TerminalCaps,
 }
 
 impl Mosfet {
     /// Creates a MOSFET with the given card and terminals.
     pub fn new(params: MosfetParams, drain: NodeId, gate: NodeId, source: NodeId) -> Self {
-        let cgs = CapState::new(params.cgs());
-        let cgd = CapState::new(params.cgs());
-        let cdb = CapState::new(params.cjunction());
-        let csb = CapState::new(params.cjunction());
+        let caps = TerminalCaps::new(params.cgs(), params.cjunction());
         Self {
             params,
             drain,
             gate,
             source,
-            cgs,
-            cgd,
-            cdb,
-            csb,
+            caps,
         }
     }
 
@@ -140,37 +209,13 @@ impl Mosfet {
     /// `gm = ∂I/∂v_gs`, `gds = ∂I/∂v_ds`; the source derivative follows from
     /// `∂I/∂v_s = −(gm + gds)`.
     pub fn channel_currents(p: &MosfetParams, vgs: f64, vds: f64) -> (f64, f64, f64) {
-        let ispec = p.specific_current();
-        let denom = 2.0 * p.n * p.vt;
-        let ugs = (vgs - p.vth) / denom;
-        let ugd = (vgs - vds - p.vth) / denom;
-        let (fs, sgs) = softplus_sigmoid(ugs);
-        let (fd, sgd) = softplus_sigmoid(ugd);
-        let dfs = sgs / denom; // d softplus(ugs) / d vgs
-        let dfd = sgd / denom;
-        // F = f², dF/dv = 2·f·f'.
-        let ff = fs * fs - fd * fd;
-        let clm = 1.0 + p.lambda * vds.abs();
-        let dclm_dvds = p.lambda * vds.signum();
-        let i = ispec * ff * clm;
-        // ∂/∂vgs: both ugs and ugd move with vgs.
-        let dff_dvgs = 2.0 * (fs * dfs - fd * dfd);
-        // ∂/∂vds: only ugd (−1) and CLM move with vds.
-        let dff_dvds = 2.0 * fd * dfd;
-        let gm = ispec * dff_dvgs * clm;
-        let gds = ispec * (dff_dvds * clm + ff * dclm_dvds);
-        (i, gm, gds)
+        channel_currents_at(p, p.vth, vgs, vds)
     }
 
     /// Drain current of this device at explicit terminal voltages
     /// (positive current flows drain → source for NMOS conduction).
     pub fn drain_current(&self, vg: f64, vd: f64, vs: f64) -> f64 {
-        let (sign, vgs, vds) = match self.params.polarity {
-            Polarity::Nmos => (1.0, vg - vs, vd - vs),
-            Polarity::Pmos => (-1.0, vs - vg, vs - vd),
-        };
-        let (i, _, _) = Self::channel_currents(&self.params, vgs, vds);
-        sign * i
+        drain_current_at(&self.params, self.params.vth, vg, vd, vs)
     }
 }
 
@@ -195,52 +240,22 @@ impl Device for Mosfet {
     }
 
     fn stamp(&self, ctx: &mut StampCtx<'_>) {
-        let vg = ctx.v(self.gate);
-        let vd = ctx.v(self.drain);
-        let vs = ctx.v(self.source);
-        let (vgs_eq, vds_eq) = match self.params.polarity {
-            Polarity::Nmos => (vg - vs, vd - vs),
-            Polarity::Pmos => (vs - vg, vs - vd),
-        };
-        let (i_eqv, gm, gds) = Self::channel_currents(&self.params, vgs_eq, vds_eq);
-        // Map back to actual terminals. For both polarities the linearised
-        // current from drain to source is:
-        //   I_ds ≈ I* + gm·Δ(vg−vs)·s... — working through the chain rule,
-        // the conductances stay positive and stamp identically; only the
-        // equivalent current source keeps the polarity sign.
-        let (i_ds, vgs_act, vds_act) = match self.params.polarity {
-            Polarity::Nmos => (i_eqv, vg - vs, vd - vs),
-            Polarity::Pmos => (-i_eqv, vg - vs, vd - vs),
-        };
-        // For PMOS: I_ds = −I_n(vs−vg, vs−vd); ∂I_ds/∂vg = −∂I_n/∂vgs·(−1) = gm.
-        // Likewise ∂I_ds/∂vd = gds. So gm/gds stamp the same way.
-        let ieq = i_ds - gm * vgs_act - gds * vds_act;
-        ctx.stamp_transconductance(self.drain, self.source, self.gate, self.source, gm);
-        ctx.stamp_conductance(self.drain, self.source, gds);
-        // The conductance primitive already models gds·(vd − vs); the
-        // transconductance models gm·(vg − vs); the residual is a constant.
-        ctx.stamp_current(self.drain, self.source, ieq);
+        let nodes = [self.drain, self.gate, self.source];
+        stamp_channel_at(&self.params, self.params.vth, nodes, ctx);
     }
 
     fn stamp_companions(&self, ctx: &mut StampCtx<'_>) {
-        self.cgs.stamp(ctx, self.gate, self.source);
-        self.cgd.stamp(ctx, self.gate, self.drain);
-        self.cdb.stamp(ctx, self.drain, NodeId::GROUND);
-        self.csb.stamp(ctx, self.source, NodeId::GROUND);
+        self.caps.stamp(ctx, self.drain, self.gate, self.source);
     }
 
     fn commit(&mut self, ctx: &CommitCtx<'_>) {
-        self.cgs.commit(ctx, self.gate, self.source);
-        self.cgd.commit(ctx, self.gate, self.drain);
-        self.cdb.commit(ctx, self.drain, NodeId::GROUND);
-        self.csb.commit(ctx, self.source, NodeId::GROUND);
+        let v = [ctx.v(self.drain), ctx.v(self.gate), ctx.v(self.source)];
+        self.caps.commit_v(v, ctx.dt(), ctx.method());
     }
 
     fn init(&mut self, ctx: &CommitCtx<'_>, _uic: bool) {
-        self.cgs.init(ctx, self.gate, self.source);
-        self.cgd.init(ctx, self.gate, self.drain);
-        self.cdb.init(ctx, self.drain, NodeId::GROUND);
-        self.csb.init(ctx, self.source, NodeId::GROUND);
+        self.caps
+            .init_v([ctx.v(self.drain), ctx.v(self.gate), ctx.v(self.source)]);
     }
 
     fn is_nonlinear(&self) -> bool {
@@ -305,6 +320,37 @@ mod tests {
             assert!((sg - sigmoid(u)).abs() <= 4.0 * f64::EPSILON * sigmoid(u));
         }
         assert!(worst > 0.0, "the grid must reach the rewritten branch");
+    }
+
+    /// The threshold-taking kernel against the card kernel on a card
+    /// whose threshold is overwritten, bit for bit: the FeFET channel
+    /// used to clone its card with the polarization-shifted threshold.
+    #[test]
+    fn threshold_kernel_equals_the_card_kernel() {
+        let card = TechCard::hp45();
+        let fe = &card.fefet;
+        let mut vths = vec![card.nmos.vth, card.pmos.vth, fe.vth_low(), fe.vth_high()];
+        vths.extend((-4..=4).map(|k| fe.vth_at(f64::from(k) * 0.25)));
+        for base in [&card.nmos, &card.pmos, &fe.mosfet] {
+            for &vth in &vths {
+                let cloned = MosfetParams {
+                    vth,
+                    ..base.clone()
+                };
+                for kg in -10..=20 {
+                    for kd in -10..=20 {
+                        let (vgs, vds) = (f64::from(kg) * 0.071, f64::from(kd) * 0.053);
+                        let want = Mosfet::channel_currents(&cloned, vgs, vds);
+                        let got = channel_currents_at(base, vth, vgs, vds);
+                        assert_eq!(
+                            [want.0, want.1, want.2].map(f64::to_bits),
+                            [got.0, got.1, got.2].map(f64::to_bits),
+                            "vth {vth}, vgs {vgs}, vds {vds}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
