@@ -2,13 +2,12 @@
 
 use ftcam_cells::{DesignKind, Geometry};
 use ftcam_workloads::{MismatchHistogram, ToggleStats};
-use serde::{Deserialize, Serialize};
 
 use crate::calibrate::RowCalibration;
 use crate::periph::PeripheralModel;
 
 /// Shape and design of an array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArrayParams {
     /// Cell design.
     pub kind: DesignKind,
@@ -43,7 +42,7 @@ impl ArrayParams {
 ///   search (one matching row, the rest mismatching heavily) is used.
 /// * For segmented designs, early termination is applied analytically with
 ///   hypergeometric reach probabilities over the mismatch count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrayModel {
     params: ArrayParams,
     calibration: RowCalibration,

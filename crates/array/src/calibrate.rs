@@ -9,10 +9,9 @@ use std::time::Instant;
 use ftcam_cells::{CellError, DesignKind, Geometry, RowTestbench, SearchTiming};
 use ftcam_devices::TechCard;
 use ftcam_workloads::{Ternary, TernaryWord};
-use serde::{Deserialize, Serialize};
 
 /// Per-stage (segment) energies for hierarchically evaluated designs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageCalibration {
     /// Columns in this segment.
     pub width: usize,
@@ -30,7 +29,7 @@ pub struct StageCalibration {
 ///
 /// Produced by [`calibrate_row`] from transistor-level simulation; consumed
 /// by [`crate::ArrayModel`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RowCalibration {
     /// The design this calibration belongs to.
     pub kind: DesignKind,

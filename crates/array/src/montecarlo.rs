@@ -25,10 +25,9 @@ use ftcam_devices::TechCard;
 use ftcam_workloads::{Ternary, TernaryWord};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Monte-Carlo configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VariationParams {
     /// Standard deviation of the per-FeFET threshold shift (volts).
     pub sigma_vth: f64,
@@ -50,7 +49,7 @@ impl Default for VariationParams {
 
 /// A sample that produced no decision: the transistor-level solve failed
 /// (divergence, step underflow) or the sample panicked.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct McSolverFailure {
     /// Zero-based sample index (stable across thread counts).
     pub sample: usize,
@@ -59,7 +58,7 @@ pub struct McSolverFailure {
 }
 
 /// Monte-Carlo outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct McResult {
     /// Sense margins of the full-match searches (volts), surviving samples
     /// only, in sample order.

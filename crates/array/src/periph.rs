@@ -9,10 +9,8 @@
 //! peripherals are charged identically per row/column regardless of the
 //! cell design.
 
-use serde::{Deserialize, Serialize};
-
 /// Analytical peripheral model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PeripheralModel {
     /// Sense-amplifier energy per row per search (joules).
     pub e_sense_amp: f64,

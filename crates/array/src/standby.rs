@@ -14,10 +14,9 @@
 
 use ftcam_cells::DesignKind;
 use ftcam_devices::{Mosfet, TechCard};
-use serde::{Deserialize, Serialize};
 
 /// Retention behaviour of a design's storage element.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Retention {
     /// Content is lost on power-down; the array must stay powered.
     Volatile,
@@ -26,7 +25,7 @@ pub enum Retention {
 }
 
 /// Standby figures for one design in one technology.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StandbyProfile {
     /// The design.
     pub kind: DesignKind,

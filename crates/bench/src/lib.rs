@@ -1,4 +1,5 @@
-//! Shared plumbing for the `experiments` binary and the criterion benches.
+//! Shared plumbing for the `experiments` and `perfcheck` binaries: artefact
+//! and bench-report files.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -7,7 +8,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use ftcam_cells::{RecoveryStats, SolverPerf, StepStats};
-use ftcam_core::{Artifact, Evaluator};
+use ftcam_core::Artifact;
 use serde::{Deserialize, Serialize};
 
 /// Where experiment artefacts are written by default.
@@ -112,17 +113,6 @@ pub fn save_artifact(dir: &Path, artifact: &Artifact) -> std::io::Result<PathBuf
         fs::write(dir.join(format!("{}.csv", fig.id)), fig.to_csv())?;
     }
     Ok(json_path)
-}
-
-/// Runs one experiment end-to-end for the benches: quick preset, shared
-/// evaluator (calibrations cached across iterations).
-///
-/// # Panics
-///
-/// Panics if the experiment fails — a bench has no error channel.
-pub fn run_quick(eval: &Evaluator, id: &str) -> Artifact {
-    ftcam_core::experiments::run_by_id(eval, id, false)
-        .unwrap_or_else(|e| panic!("experiment {id} failed: {e}"))
 }
 
 #[cfg(test)]

@@ -3,7 +3,6 @@
 use ftcam_circuit::{Circuit, DeviceId, NodeId, PinId};
 use ftcam_devices::TechCard;
 use ftcam_workloads::Ternary;
-use serde::{Deserialize, Serialize};
 
 use crate::designs::{Cmos16T, EaFull, EaLowSwing, EaMlSegmented, EaSlGated, FeFet2T, Rram2T2R};
 use crate::geometry::Geometry;
@@ -36,7 +35,7 @@ pub struct CellHandle {
 
 /// Device inventory of one cell; fractional counts express sharing (a footer
 /// shared between four cells contributes 0.25).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DeviceCount {
     /// NMOS transistors.
     pub nmos: f64,
@@ -56,7 +55,7 @@ impl DeviceCount {
 }
 
 /// How the row testbench should build pull-down return rails.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FooterStyle {
     /// Cells pull down directly to ground.
     None,
@@ -68,7 +67,7 @@ pub enum FooterStyle {
 }
 
 /// Row-level behaviours a design requires from the testbench.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RowFeatures {
     /// Pull-down return rail construction.
     pub footer: FooterStyle,
@@ -151,7 +150,7 @@ pub trait CellDesign: std::fmt::Debug + Send + Sync {
 }
 
 /// Identifier for every design shipped with the crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DesignKind {
     /// 16T CMOS SRAM-based TCAM (baseline).
     Cmos16T,

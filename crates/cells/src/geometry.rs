@@ -1,7 +1,5 @@
 //! Layout-derived parasitics and area factors.
 
-use serde::{Deserialize, Serialize};
-
 /// Wire parasitics and layout constants shared by all testbenches.
 ///
 /// Values are synthetic but sized for a 45 nm metal stack (≈ 0.2 fF/µm wire
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// of a design with a larger cell run proportionally longer per cell, so
 /// dense FeFET cells get shorter (cheaper) wires than the 16T CMOS
 /// baseline. Cells are modelled as square, `pitch = √area`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Geometry {
     /// Feature size F (meters).
     pub feature_size: f64,

@@ -21,7 +21,6 @@
 //! quantifies.
 
 use ftcam_workloads::TernaryWord;
-use serde::{Deserialize, Serialize};
 
 use crate::design::DesignKind;
 use crate::error::CellError;
@@ -30,7 +29,7 @@ use crate::search::{SearchOutcome, SearchTiming};
 use ftcam_devices::TechCard;
 
 /// A stored interval in normalised level space (`0.0 ..= 1.0`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LevelRange {
     /// Inclusive lower bound.
     pub lo: f64,
@@ -80,7 +79,7 @@ impl LevelRange {
 }
 
 /// Maps normalised levels to gate voltages and ranges to polarizations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct McamEncoder {
     /// Gate voltage at level 0 (volts).
     pub v_min: f64,

@@ -1,7 +1,6 @@
 //! Search-operation timing and measurement types.
 
 use ftcam_circuit::StepControl;
-use serde::{Deserialize, Serialize};
 
 /// Clocking of one search cycle.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// precharge energy reflects the steady-state ML condition (a matching row's
 /// ML is still high and recharges almost for free; a mismatching row pays
 /// the full `C·V_pre²`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchTiming {
     /// Precharge phase duration (seconds).
     pub t_precharge: f64,
@@ -83,7 +82,7 @@ impl SearchTiming {
 }
 
 /// Measurement of one evaluated match-line segment (stage).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageOutcome {
     /// Segment index.
     pub segment: usize,
@@ -99,7 +98,7 @@ pub struct StageOutcome {
 }
 
 /// Result of one row search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcome {
     /// Whether every evaluated segment matched (the row match result).
     pub matched: bool,

@@ -1,7 +1,6 @@
 //! Write-operation timing and measurement types.
 
 use ftcam_circuit::StepControl;
-use serde::{Deserialize, Serialize};
 
 /// Pulse scheme for a transient FeFET word write.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// pulse of `+V_prog` on the selected line of each cell sets the low-V_th
 /// device (none for a stored `X`). Match lines are clamped to ground by the
 /// write-enable device during both phases.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WriteTiming {
     /// Erase pulse width (seconds).
     pub erase_width: f64,
@@ -59,7 +58,7 @@ impl WriteTiming {
 }
 
 /// Result of one transient word write.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WriteOutcome {
     /// Total energy drawn from all drivers during the write (joules).
     pub energy_total: f64,

@@ -78,14 +78,11 @@ fn fefet_row_energies_and_delay_match_fixed_within_one_percent() {
 }
 
 /// The testbench accumulates statistics across operations, and the policy
-/// rides inside the timing structs (serde round trip included).
+/// rides inside the timing structs.
 #[test]
-fn step_policy_serialises_and_stats_accumulate() {
+fn step_policy_rides_in_timing_and_stats_accumulate() {
     let timing = SearchTiming::default().with_step_control(StepControl::adaptive());
-    let json = serde_json::to_string(&timing).unwrap();
-    let back: SearchTiming = serde_json::from_str(&json).unwrap();
-    assert_eq!(back, timing);
-    assert!(back.step.is_adaptive());
+    assert!(timing.step.is_adaptive());
 
     let stored: TernaryWord = "1011".parse().unwrap();
     let mut row = row(DesignKind::Cmos16T, 4);

@@ -87,12 +87,6 @@ impl DcOperatingPoint {
         Self::default()
     }
 
-    /// Overrides the `gmin` shunt conductance.
-    pub fn with_gmin(mut self, gmin: f64) -> Self {
-        self.settings.gmin = gmin;
-        self
-    }
-
     /// Overrides the full Newton settings (tolerances, iteration cap,
     /// damping and `gmin`).
     ///

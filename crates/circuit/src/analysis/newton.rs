@@ -188,13 +188,6 @@ impl NewtonSettings {
         self
     }
 
-    /// Sets the `gmin` shunt conductance applied to free-node diagonals.
-    #[must_use]
-    pub fn with_gmin(mut self, gmin: f64) -> Self {
-        self.gmin = gmin;
-        self
-    }
-
     /// Selects which Newton-loop layers are on; see [`HotPath`].
     #[must_use]
     pub fn with_hot_path(mut self, hot_path: HotPath) -> Self {

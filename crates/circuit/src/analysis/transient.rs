@@ -2,8 +2,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::analysis::dc::solve_dc;
 use crate::analysis::newton::{self, NewtonSettings, NewtonWorkspace};
 use crate::circuit::Circuit;
@@ -72,7 +70,7 @@ impl RecordMode {
 /// while flat precharge/evaluate plateaus are crossed in a handful of
 /// steps, which cuts the accepted step count by well over 2× on the TCAM
 /// waveforms at sub-percent energy/delay error.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum StepControl {
     /// Take the base step everywhere (halving only on Newton failures,
     /// down to `base dt × 1e-6`).

@@ -67,12 +67,6 @@ impl StampTape {
     pub fn is_valid(&self) -> bool {
         self.valid
     }
-
-    /// Explicitly invalidates the tape, forcing the next pass to
-    /// re-record.
-    pub fn invalidate(&mut self) {
-        self.valid = false;
-    }
 }
 
 /// Tape state of the matrix during an assembly pass.

@@ -1,12 +1,10 @@
 //! Node identifiers.
 
-use serde::{Deserialize, Serialize};
-
 /// Opaque handle to a circuit node.
 ///
 /// Node 0 is always ground (see [`crate::Circuit::ground`]). Handles are only
 /// meaningful for the [`crate::Circuit`] that created them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {

@@ -11,13 +11,11 @@
 //!   partial sums and are not read: the KCL check is the residual `z − A·x`
 //!   of the last Newton load (see `analysis::newton`).
 
-use serde::{Deserialize, Serialize};
-
 use crate::linalg::SystemMatrix;
 use crate::node::NodeId;
 
 /// Numerical integration method for reactive companion models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IntegrationMethod {
     /// First-order, L-stable. Damps the stiff precharge edges of TCAM
     /// testbenches without ringing; the project default.

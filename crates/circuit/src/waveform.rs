@@ -1,7 +1,5 @@
 //! Time-domain source waveforms (DC, pulse, piecewise-linear, sine).
 
-use serde::{Deserialize, Serialize};
-
 /// A deterministic voltage/current waveform, evaluated at absolute time.
 ///
 /// Waveforms drive pinned nodes, [`crate::elements::VoltageSource`]s and
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(w.value(1.025e-9) > 0.4 && w.value(1.025e-9) < 0.6); // mid-rise
 /// assert_eq!(w.value(4e-9), 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Waveform {
     /// Constant value.
     Dc(f64),

@@ -5,7 +5,7 @@
 //! ≈ smoke-test scale, `Params::full()` ≈ paper scale) and a
 //! `run(&Evaluator, &Params) -> Result<…, CellError>` entry point.
 //! [`run_by_id`] provides uniform string dispatch for the `experiments`
-//! binary and the benches.
+//! binary and perfbench.
 
 use std::time::Instant;
 

@@ -5,15 +5,13 @@
 //! literature): I_on ≈ 100 µA for a minimum NMOS at 0.8 V, I_on/I_off > 10⁵,
 //! FeFET memory window ≈ 1 V with ±4 V / ~10 ns programming.
 
-use serde::{Deserialize, Serialize};
-
 use crate::fefet::FeFetParams;
 use crate::ferro::FerroParams;
 use crate::mosfet::{MosfetParams, Polarity};
 use crate::reram::ReramParams;
 
 /// A bundle of device cards for one technology node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TechCard {
     /// Nominal supply voltage (volts).
     pub vdd: f64,
@@ -179,13 +177,5 @@ mod tests {
             "vt = {}",
             same.nmos.vt
         );
-    }
-
-    #[test]
-    fn cards_serialize_round_trip() {
-        let card = TechCard::hp45();
-        let json = serde_json::to_string(&card).unwrap();
-        let back: TechCard = serde_json::from_str(&json).unwrap();
-        assert_eq!(card, back);
     }
 }

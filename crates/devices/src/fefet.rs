@@ -22,14 +22,13 @@
 //! one-step lag so write energy is drawn from the driving source.
 
 use ftcam_circuit::{CommitCtx, Device, NodeId, StampClass, StampCtx};
-use serde::{Deserialize, Serialize};
 
 use crate::caps::TerminalCaps;
 use crate::ferro::{FerroParams, Polarization};
 use crate::mosfet::{drain_current_at, stamp_channel_at, MosfetParams};
 
 /// FeFET card parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeFetParams {
     /// Underlying MOSFET card (threshold = mid-window `V_th0`).
     pub mosfet: MosfetParams,

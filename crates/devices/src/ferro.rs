@@ -21,10 +21,8 @@
 //! unconditionally stable here because the update is a clamped exponential
 //! relaxation.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the polarization model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FerroParams {
     /// Coercive voltage `V_c` (volts).
     pub vc: f64,
@@ -93,7 +91,7 @@ impl FerroParams {
 /// p.advance(&params, 0.8, 10e-9);
 /// assert!((p.value() - before).abs() < 1e-3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Polarization {
     p: f64,
 }

@@ -15,12 +15,11 @@
 //! terminals negates the current.
 
 use ftcam_circuit::{CommitCtx, Device, NodeId, StampClass, StampCtx};
-use serde::{Deserialize, Serialize};
 
 use crate::caps::TerminalCaps;
 
 /// Channel polarity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Polarity {
     /// N-channel.
     Nmos,
@@ -29,7 +28,7 @@ pub enum Polarity {
 }
 
 /// MOSFET card parameters (a stand-in for a PDK device card).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MosfetParams {
     /// Channel polarity.
     pub polarity: Polarity,

@@ -1,10 +1,9 @@
 //! Bistable resistive memory element for the 2T-2R TCAM baseline.
 
 use ftcam_circuit::{Device, NodeId, StampClass, StampCtx};
-use serde::{Deserialize, Serialize};
 
 /// Programmed state of a [`Reram`] cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReramState {
     /// Low-resistance state (SET).
     LowResistance,
@@ -13,7 +12,7 @@ pub enum ReramState {
 }
 
 /// ReRAM card parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReramParams {
     /// Low-resistance state value (ohms).
     pub r_lrs: f64,

@@ -17,12 +17,10 @@
 //! age/cycle count — e.g. "does the 10-year-old array still search
 //! correctly?" becomes an ordinary simulation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cards::TechCard;
 
 /// Retention/endurance parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReliabilityParams {
     /// Logarithmic depolarization coefficient `d` (fraction of remanent
     /// polarization lost per decade of time).

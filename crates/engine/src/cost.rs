@@ -23,10 +23,6 @@ pub enum Metering {
     /// Full per-row mismatch histogram on every query — exact, `O(rows)`
     /// counting work per query.
     Exact,
-    /// `O(width)` per query: exact match count plus the exact total
-    /// mismatch count (from per-column content counts), distributed over
-    /// the non-matching rows with a calibration-derived affine fit.
-    Aggregate,
     /// Exact metering on every `period`-th query; energy per query is the
     /// mean over the metered sample.
     Sampled {
@@ -46,10 +42,6 @@ pub struct CostModel {
     row_lut: Vec<f64>,
     /// `stages_lut[k]`: expected evaluated segments at `k` mismatches.
     stages_lut: Vec<f64>,
-    /// Affine fit `a + b·k` of `row_lut` over `k ≥ 1` (aggregate metering).
-    fit_energy: (f64, f64),
-    /// Affine fit of `stages_lut` over `k ≥ 1`.
-    fit_stages: (f64, f64),
     /// Segment widths, MSB-first (len > 1 only for segmented designs).
     seg_widths: Vec<usize>,
     /// Per-segment clean-evaluation energy (J).
@@ -80,8 +72,6 @@ impl CostModel {
         let model = ArrayModel::new(ArrayParams::new(kind, rows, width), calibration.clone());
         let row_lut: Vec<f64> = (0..=width).map(|k| model.row_energy(k)).collect();
         let stages_lut: Vec<f64> = (0..=width).map(|k| model.expected_stages(k)).collect();
-        let fit_energy = affine_fit_binomial(&row_lut, width);
-        let fit_stages = affine_fit_binomial(&stages_lut, width);
         let seg_widths: Vec<usize> = calibration.stages.iter().map(|s| s.width).collect();
         let seg_e_match: Vec<f64> = calibration.stages.iter().map(|s| s.e_match).collect();
         let seg_overhead = if seg_widths.len() > 1 {
@@ -100,8 +90,6 @@ impl CostModel {
             rows,
             row_lut,
             stages_lut,
-            fit_energy,
-            fit_stages,
             seg_widths,
             seg_e_match,
             seg_delta,
@@ -154,29 +142,6 @@ impl CostModel {
             rows_energy += c * self.row_lut[k.min(self.width)];
             stages_total += c * self.stages_lut[k.min(self.width)];
         }
-        self.finish(rows_energy, stages_total, definite, toggles)
-    }
-
-    /// Aggregate-metered energy of one query (J): `matches` rows at `k = 0`
-    /// and the remaining rows sharing `sum_k` total mismatches via the
-    /// calibration-derived affine fits.
-    pub fn energy_from_aggregate(
-        &self,
-        matches: u64,
-        sum_k: u64,
-        definite: u32,
-        toggles: u32,
-    ) -> f64 {
-        let missing = self.rows as f64 - matches as f64;
-        let (ae, be) = self.fit_energy;
-        let (a_s, b_s) = self.fit_stages;
-        let rows_energy = matches as f64 * self.row_lut[0] + ae * missing + be * sum_k as f64;
-        let stages_total = matches as f64 * self.stages_lut[0] + a_s * missing + b_s * sum_k as f64;
-        self.finish(rows_energy, stages_total, definite, toggles)
-    }
-
-    /// Applies the SL and peripheral terms shared by both metering paths.
-    fn finish(&self, mut rows_energy: f64, stages_total: f64, definite: u32, toggles: u32) -> f64 {
         let rows = self.rows as f64;
         let stages_avg = stages_total / rows.max(1.0);
         let toggled_lines = if self.sl_gated {
@@ -311,36 +276,6 @@ fn derive_seg_delta(
         .collect()
 }
 
-/// Weighted least-squares affine fit `a + b·k` of `lut[k]` over `k ≥ 1`,
-/// weighted by the binomial coefficient `C(width, k)` so the fit is tight
-/// where random content actually puts the mass (mid-range `k`).
-fn affine_fit_binomial(lut: &[f64], width: usize) -> (f64, f64) {
-    let mut sw = 0.0;
-    let mut swx = 0.0;
-    let mut swy = 0.0;
-    let mut swxx = 0.0;
-    let mut swxy = 0.0;
-    let mut w = 1.0f64;
-    for (k, &y) in lut.iter().enumerate().take(width + 1).skip(1) {
-        // C(width, k) built incrementally: C(w, k) = C(w, k-1)·(w-k+1)/k.
-        w *= (width - k + 1) as f64 / k as f64;
-        let x = k as f64;
-        sw += w;
-        swx += w * x;
-        swy += w * y;
-        swxx += w * x * x;
-        swxy += w * x * y;
-    }
-    let det = sw * swxx - swx * swx;
-    if det.abs() < f64::MIN_POSITIVE {
-        let a = if sw > 0.0 { swy / sw } else { 0.0 };
-        return (a, 0.0);
-    }
-    let a = (swxx * swy - swx * swxy) / det;
-    let b = (sw * swxy - swx * swy) / det;
-    (a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,23 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_is_close_to_exact_for_mixed_histograms() {
-        let calib = segmented_calibration(16);
-        let cost = CostModel::from_calibration(DesignKind::EaMlSegmented, &calib, 64);
-        let mut hist = vec![0u64; 17];
-        hist[0] = 2;
-        hist[5] = 20;
-        hist[8] = 30;
-        hist[12] = 12;
-        let matches = hist[0];
-        let sum_k: u64 = hist.iter().enumerate().map(|(k, &c)| k as u64 * c).sum();
-        let exact = cost.energy_from_hist(&hist, 16, 4);
-        let agg = cost.energy_from_aggregate(matches, sum_k, 16, 4);
-        let rel = (agg - exact).abs() / exact;
-        assert!(rel < 0.10, "aggregate off by {:.1}%", rel * 100.0);
-    }
-
-    #[test]
     fn positional_energy_stops_at_first_dirty_segment() {
         let calib = segmented_calibration(16);
         let cost = CostModel::from_calibration(DesignKind::EaMlSegmented, &calib, 64);
@@ -456,12 +374,5 @@ mod tests {
         let q_full = stored.with_spread_mismatches(16);
         let e_full = cost.positional_row_energy(&stored, &q_full);
         assert!((e_full - 1.6e-15).abs() < 1e-22, "e_full = {e_full:.3e}");
-    }
-
-    #[test]
-    fn affine_fit_recovers_exact_affine_luts() {
-        let lut: Vec<f64> = (0..=16).map(|k| 2.0 + 0.5 * k as f64).collect();
-        let (a, b) = affine_fit_binomial(&lut, 16);
-        assert!((a - 2.0).abs() < 1e-9 && (b - 0.5).abs() < 1e-9);
     }
 }

@@ -51,9 +51,7 @@ pub(crate) struct QueryOutcome {
     pub(crate) first: Option<u32>,
     /// Number of matching rows.
     pub(crate) matches: u64,
-    /// Total mismatch count over all rows.
-    pub(crate) sum_k: u64,
-    /// Per-row mismatch histogram (exact metering only).
+    /// Per-row mismatch histogram (metered queries only).
     pub(crate) hist: Option<Vec<u64>>,
 }
 
@@ -67,7 +65,6 @@ impl QueryOutcome {
             (a, b) => a.or(b),
         };
         self.matches += other.matches;
-        self.sum_k += other.sum_k;
         if let Some(o) = &other.hist {
             match &mut self.hist {
                 Some(h) => {
@@ -110,24 +107,21 @@ impl Shard {
         self.table.lpm(q)
     }
 
-    /// Evaluates one query, metering at the requested precision.
-    pub(crate) fn outcome(&self, q: &PackedQuery, exact: bool) -> QueryOutcome {
-        if exact {
+    /// Evaluates one query; a metered query also gets its mismatch
+    /// histogram.
+    pub(crate) fn outcome(&self, q: &PackedQuery, metered: bool) -> QueryOutcome {
+        if metered {
             let mut hist = vec![0u64; self.table.width() + 1];
             self.table.histogram_into(q, &mut hist);
-            let matches = hist.first().copied().unwrap_or(0);
-            let sum_k = hist.iter().enumerate().map(|(k, &c)| k as u64 * c).sum();
             QueryOutcome {
                 first: self.first_match(q),
-                matches,
-                sum_k,
+                matches: hist.first().copied().unwrap_or(0),
                 hist: Some(hist),
             }
         } else {
             QueryOutcome {
                 first: self.first_match(q),
                 matches: self.match_count(q),
-                sum_k: self.table.sum_mismatches(q),
                 hist: None,
             }
         }
@@ -218,14 +212,13 @@ impl EngineStats {
     /// query order with shard-order-merged outcomes so the floating-point
     /// energy accumulation is identical for every execution schedule.
     ///
-    /// `metered == false` (skipped queries of a [`Metering::Sampled`]
-    /// stream) updates the match statistics only.
+    /// An outcome without a histogram (a skipped query of a
+    /// [`Metering::Sampled`] stream) updates the match statistics only.
     pub(crate) fn record(
         &mut self,
         outcome: &QueryOutcome,
         definite: u32,
         toggles: u32,
-        metered: bool,
         designs: &[CostModel],
     ) {
         self.queries += 1;
@@ -236,26 +229,12 @@ impl EngineStats {
         self.total_matches += outcome.matches;
         let bucket = (outcome.matches as usize).min(MATCH_HIST_BUCKETS - 1);
         self.match_hist[bucket] += 1;
-        if !metered {
+        let Some(hist) = &outcome.hist else {
             return;
-        }
+        };
         self.metered_queries += 1;
-        match &outcome.hist {
-            Some(hist) => {
-                for (model, d) in designs.iter().zip(&mut self.per_design) {
-                    d.energy += model.energy_from_hist(hist, definite, toggles);
-                }
-            }
-            None => {
-                for (model, d) in designs.iter().zip(&mut self.per_design) {
-                    d.energy += model.energy_from_aggregate(
-                        outcome.matches,
-                        outcome.sum_k,
-                        definite,
-                        toggles,
-                    );
-                }
-            }
+        for (model, d) in designs.iter().zip(&mut self.per_design) {
+            d.energy += model.energy_from_hist(hist, definite, toggles);
         }
     }
 }
@@ -383,30 +362,21 @@ impl TcamEngine {
             .min_by_key(|&(gid, k)| (k, gid))
     }
 
-    /// Whether query number `index` of a stream is metered with a full
-    /// histogram.
-    pub(crate) fn meter_exactly(&self, index: u64) -> bool {
-        match self.config.metering {
-            Metering::Exact => true,
-            Metering::Aggregate => false,
-            Metering::Sampled { period } => index.is_multiple_of(period.max(1)),
-        }
-    }
-
-    /// Whether query number `index` contributes to the energy estimate.
+    /// Whether query number `index` of a stream is metered (gets a
+    /// mismatch histogram and contributes to the energy estimate).
     pub(crate) fn is_metered(&self, index: u64) -> bool {
         match self.config.metering {
-            Metering::Exact | Metering::Aggregate => true,
+            Metering::Exact => true,
             Metering::Sampled { period } => index.is_multiple_of(period.max(1)),
         }
     }
 
     /// Evaluates one packed query across all shards, merged in shard order.
     pub(crate) fn evaluate(&self, q: &PackedQuery, index: u64) -> QueryOutcome {
-        let exact = self.meter_exactly(index);
+        let metered = self.is_metered(index);
         let mut merged = QueryOutcome::default();
         for s in &self.shards {
-            merged.merge(&s.outcome(q, exact));
+            merged.merge(&s.outcome(q, metered));
         }
         merged
     }
@@ -442,13 +412,8 @@ impl ReplaySession<'_> {
         let q = PackedQuery::from_word(word);
         let toggles = q.toggles_from(self.prev.as_ref());
         let outcome = self.engine.evaluate(&q, self.index);
-        self.stats.record(
-            &outcome,
-            q.definite_count(),
-            toggles,
-            self.engine.is_metered(self.index),
-            &self.engine.designs,
-        );
+        self.stats
+            .record(&outcome, q.definite_count(), toggles, &self.engine.designs);
         self.prev = Some(q);
         self.index += 1;
         outcome.first

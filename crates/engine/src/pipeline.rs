@@ -52,7 +52,7 @@ pub fn replay(
             Ok(packed
                 .iter()
                 .enumerate()
-                .map(|(j, q)| shard.outcome(q, engine.meter_exactly(base + j as u64)))
+                .map(|(j, q)| shard.outcome(q, engine.is_metered(base + j as u64)))
                 .collect())
         });
         let parts = match result {
@@ -66,14 +66,7 @@ pub fn replay(
             for shard_part in &parts {
                 merged.merge(&shard_part[j]);
             }
-            let index = base + j as u64;
-            stats.record(
-                &merged,
-                q.definite_count(),
-                toggles[j],
-                engine.is_metered(index),
-                engine.designs(),
-            );
+            stats.record(&merged, q.definite_count(), toggles[j], engine.designs());
         }
         base += chunk.len() as u64;
     }
@@ -102,11 +95,7 @@ mod tests {
         let queries: Vec<TernaryWord> = (0..300u64)
             .map(|i| TernaryWord::from_bits(i.wrapping_mul(2654435761) % 4096, 12))
             .collect();
-        for metering in [
-            Metering::Exact,
-            Metering::Aggregate,
-            Metering::Sampled { period: 7 },
-        ] {
+        for metering in [Metering::Exact, Metering::Sampled { period: 7 }] {
             for shard_count in [1, 3] {
                 let engine = TcamEngine::new(
                     &table,
@@ -129,5 +118,75 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Metering changes only the energy estimate: the match statistics
+    /// come from the histogram on metered queries and from the match
+    /// count on skipped ones, and both must give the same answers, with
+    /// and without the prefix index.
+    #[test]
+    fn functional_stats_are_equal_across_metering_modes() {
+        // Rows sit in the lower half of the key space, so queries with a
+        // leading 1 miss. Every hundredth row is the one-digit prefix `0`,
+        // too wildcarded for the unsharded index's buckets, so it lands in
+        // the index's shared sub-table.
+        let mut table = TcamTable::new(12);
+        for i in 0..2100u64 {
+            let len = if i % 100 == 0 {
+                1
+            } else {
+                4 + (i % 9) as usize
+            };
+            table.push(TernaryWord::prefix(i * 2 % 2048, len, 12));
+        }
+        // Every fifth query has an X in its top digits, which the prefix
+        // index cannot bucket, so the full scan answers it.
+        let queries: Vec<TernaryWord> = (0..300u64)
+            .map(|i| {
+                let bits = format!("{:012b}", i.wrapping_mul(2654435761) % 4096);
+                let word = if i % 5 == 0 {
+                    format!("X{}", &bits[1..])
+                } else {
+                    bits
+                };
+                word.parse().unwrap()
+            })
+            .collect();
+        let exec = Executor::new(2);
+        let mut reference: Option<EngineStats> = None;
+        for index_min_rows in [64, usize::MAX] {
+            for shards in [1, 3] {
+                for metering in [Metering::Exact, Metering::Sampled { period: 3 }] {
+                    let engine = TcamEngine::new(
+                        &table,
+                        EngineConfig {
+                            shards,
+                            metering,
+                            index_min_rows,
+                        },
+                    );
+                    assert_eq!(engine.is_indexed(), index_min_rows == 64);
+                    let stats = replay(&engine, &queries, &exec, 64);
+                    let expected_metered = match metering {
+                        Metering::Exact => 300,
+                        Metering::Sampled { .. } => 100,
+                    };
+                    assert_eq!(stats.metered_queries, expected_metered);
+                    let reference = reference.get_or_insert_with(|| stats.clone());
+                    let case = format!("{metering:?}, {shards} shards, index {index_min_rows}");
+                    assert_eq!(stats.queries, reference.queries, "{case}");
+                    assert_eq!(stats.hits, reference.hits, "{case}");
+                    assert_eq!(stats.total_matches, reference.total_matches, "{case}");
+                    assert_eq!(stats.match_hist, reference.match_hist, "{case}");
+                    assert_eq!(stats.sl_toggles, reference.sl_toggles, "{case}");
+                }
+            }
+        }
+        let reference = reference.unwrap();
+        assert!(reference.hits > 0 && reference.hits < reference.queries);
+        assert!(
+            reference.total_matches > reference.hits,
+            "some queries match several rows"
+        );
     }
 }

@@ -41,10 +41,6 @@ pub struct BitPlaneTable {
     care: Vec<u64>,
     /// `pattern[blk * width + col]`: stored-one plane.
     pattern: Vec<u64>,
-    /// Per-column count of rows storing a definite `1`.
-    col_ones: Vec<u64>,
-    /// Per-column count of rows storing a definite `0`.
-    col_zeros: Vec<u64>,
 }
 
 impl BitPlaneTable {
@@ -69,8 +65,6 @@ impl BitPlaneTable {
             wildcards: Vec::with_capacity(row_ids.len()),
             care: vec![0; blocks * width],
             pattern: vec![0; blocks * width],
-            col_ones: vec![0; width],
-            col_zeros: vec![0; width],
             row_ids,
         };
         let rows = table.rows();
@@ -82,14 +76,10 @@ impl BitPlaneTable {
             for (col, &d) in word.digits().iter().enumerate() {
                 match d {
                     Ternary::X => wc += 1,
-                    Ternary::Zero => {
-                        t.care[base + col] |= 1 << bit;
-                        t.col_zeros[col] += 1;
-                    }
+                    Ternary::Zero => t.care[base + col] |= 1 << bit,
                     Ternary::One => {
                         t.care[base + col] |= 1 << bit;
                         t.pattern[base + col] |= 1 << bit;
-                        t.col_ones[col] += 1;
                     }
                 }
             }
@@ -245,24 +235,6 @@ impl BitPlaneTable {
         }
     }
 
-    /// Sum of mismatch counts over all rows in `O(width)` using the
-    /// per-column content counts: a definite-`1` query digit mismatches
-    /// every stored definite `0` in that column and vice versa.
-    pub fn sum_mismatches(&self, q: &PackedQuery) -> u64 {
-        let mut sum = 0u64;
-        for col in 0..self.width {
-            if !q.is_definite(col) {
-                continue;
-            }
-            sum += if q.bit(col) {
-                self.col_zeros[col]
-            } else {
-                self.col_ones[col]
-            };
-        }
-        sum
-    }
-
     /// Row with the fewest mismatches against `q` (nearest-Hamming query
     /// over the definite digits), ties broken by lowest global id. Returns
     /// `(global_id, mismatch_count)`; `None` only for an empty table.
@@ -332,7 +304,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_and_sum_agree_with_mismatch_profile() {
+    fn histogram_agrees_with_mismatch_profile() {
         let t = table(&["1010", "10XX", "XXXX", "0101", "1111"]);
         let bp = BitPlaneTable::from_table(&t);
         for q in ["1010", "0101", "1X00", "XXXX"] {
@@ -344,8 +316,7 @@ mod tests {
             let mut hist = vec![0u64; t.width() + 1];
             bp.histogram_into(&pq(q), &mut hist);
             assert_eq!(hist, expect, "query {q}");
-            let sum: u64 = hist.iter().enumerate().map(|(k, &c)| k as u64 * c).sum();
-            assert_eq!(bp.sum_mismatches(&pq(q)), sum, "query {q}");
+            assert_eq!(bp.match_count(&pq(q)), hist[0], "query {q}");
         }
     }
 

@@ -15,7 +15,6 @@
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::model::TcamTable;
 use crate::stream::{derive_seed, QuerySource, QUERY_DOMAIN};
@@ -23,7 +22,7 @@ use crate::ternary::{Ternary, TernaryWord};
 use crate::Workload;
 
 /// Parameters for [`HdcWorkload`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HdcWorkloadParams {
     /// Number of stored class vectors (rows).
     pub classes: usize,

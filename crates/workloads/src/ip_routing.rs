@@ -16,7 +16,6 @@ use rand::distributions::{Distribution, WeightedIndex};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::model::TcamTable;
 use crate::stream::{derive_seed, QuerySource, QUERY_DOMAIN};
@@ -24,7 +23,7 @@ use crate::ternary::TernaryWord;
 use crate::Workload;
 
 /// Parameters for [`IpRoutingWorkload`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IpRoutingWorkloadParams {
     /// Number of routing-table entries.
     pub entries: usize,

@@ -1,7 +1,5 @@
 //! Functional (golden) TCAM model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ternary::TernaryWord;
 
 /// A behavioural TCAM: an ordered list of ternary entries with
@@ -28,7 +26,7 @@ use crate::ternary::TernaryWord;
 /// assert_eq!(table.search(&q2), Some(1));
 /// # Ok::<(), ftcam_workloads::ParseTernaryError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TcamTable {
     width: usize,
     rows: Vec<TernaryWord>,

@@ -13,7 +13,6 @@
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::model::TcamTable;
 use crate::stream::{derive_seed, QuerySource, QUERY_DOMAIN};
@@ -21,7 +20,7 @@ use crate::ternary::{Ternary, TernaryWord};
 use crate::Workload;
 
 /// Parameters for [`PacketClassifierWorkload`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PacketClassifierParams {
     /// Number of classifier rules.
     pub rules: usize,

@@ -1,7 +1,5 @@
 //! Workload statistics consumed by the energy models.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ternary::{Ternary, TernaryWord};
 
 /// Histogram of per-(query, row) mismatch counts.
@@ -9,7 +7,7 @@ use crate::ternary::{Ternary, TernaryWord};
 /// In a NOR-type TCAM the match-line discharge energy of a row depends on
 /// how many of its cells mismatch the query, so this histogram is the
 /// sufficient statistic for array search energy under a workload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MismatchHistogram {
     counts: Vec<u64>,
     total: u64,
@@ -100,7 +98,7 @@ impl MismatchHistogram {
 /// design (EA-SLG) leaves SLs static and only pays when consecutive queries
 /// differ; the relevant statistic is the average number of SL transitions
 /// per search, which this type measures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ToggleStats {
     width: usize,
     searches: u64,

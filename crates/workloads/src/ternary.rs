@@ -1,9 +1,7 @@
 //! Ternary digits and words — the data model of a TCAM.
 
-use serde::{Deserialize, Serialize};
-
 /// One ternary digit: `0`, `1`, or don't-care (`X`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Ternary {
     /// Binary zero.
     Zero,
@@ -106,7 +104,7 @@ impl std::error::Error for ParseTernaryError {}
 /// assert_eq!(stored.wildcard_count(), 2);
 /// # Ok::<(), ftcam_workloads::ParseTernaryError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TernaryWord {
     digits: Vec<Ternary>,
 }
