@@ -60,10 +60,7 @@ impl QueryOutcome {
     /// in ascending shard order so floating-point-free counts and the
     /// histograms merge deterministically.
     pub(crate) fn merge(&mut self, other: &QueryOutcome) {
-        self.first = match (self.first, other.first) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
+        self.first = [self.first, other.first].into_iter().flatten().min();
         self.matches += other.matches;
         if let Some(o) = &other.hist {
             match &mut self.hist {
@@ -81,30 +78,25 @@ impl QueryOutcome {
 impl Shard {
     /// Priority match within this shard.
     pub(crate) fn first_match(&self, q: &PackedQuery) -> Option<u32> {
-        if let Some(idx) = &self.index {
-            if let Some(hit) = idx.first_match(q) {
-                return hit;
-            }
-        }
-        self.table.first_match(q)
+        self.index
+            .as_ref()
+            .and_then(|idx| idx.first_match(q))
+            .unwrap_or_else(|| self.table.first_match(q, 0))
     }
 
-    fn match_count(&self, q: &PackedQuery) -> u64 {
-        if let Some(idx) = &self.index {
-            if let Some(count) = idx.match_count(q) {
-                return count;
-            }
-        }
-        self.table.match_count(q)
+    /// Priority match and match count within this shard, from one scan.
+    fn first_and_count(&self, q: &PackedQuery) -> (Option<u32>, u64) {
+        self.index
+            .as_ref()
+            .and_then(|idx| idx.first_and_count(q))
+            .unwrap_or_else(|| self.table.first_and_count(q, 0))
     }
 
     pub(crate) fn lpm(&self, q: &PackedQuery) -> Option<(u32, u16)> {
-        if let Some(idx) = &self.index {
-            if let Some(hit) = idx.lpm(q) {
-                return hit;
-            }
-        }
-        self.table.lpm(q)
+        self.index
+            .as_ref()
+            .and_then(|idx| idx.lpm(q))
+            .unwrap_or_else(|| self.table.lpm(q, 0))
     }
 
     /// Evaluates one query; a metered query also gets its mismatch
@@ -119,9 +111,10 @@ impl Shard {
                 hist: Some(hist),
             }
         } else {
+            let (first, matches) = self.first_and_count(q);
             QueryOutcome {
-                first: self.first_match(q),
-                matches: self.match_count(q),
+                first,
+                matches,
                 hist: None,
             }
         }
@@ -350,7 +343,7 @@ impl TcamEngine {
     /// Number of rows matching `query`.
     pub fn match_count(&self, query: &TernaryWord) -> u64 {
         let q = PackedQuery::from_word(query);
-        self.shards.iter().map(|s| s.match_count(&q)).sum()
+        self.shards.iter().map(|s| s.first_and_count(&q).1).sum()
     }
 
     /// Row with the fewest mismatches against `query` (nearest-Hamming).

@@ -7,8 +7,12 @@
 //! every bucket it can match; rows more wildcarded than that go into a small
 //! shared sub-table consulted on every lookup. A query whose top `K` digits
 //! are all definite then only scans `bucket ∪ shared` — typically a couple
-//! of 64-row blocks — instead of the whole table. Queries with an `X` in
-//! the top `K` fall back to the caller's full scan.
+//! of 64-row blocks — instead of the whole table. Routing has already
+//! decided the top `K` columns for every row of the bucket: each one matches
+//! any definite query whose top `K` digits equal the bucket key. A bucket
+//! scan therefore starts at column `K`; the shared sub-table, whose rows
+//! carry no such guarantee, is scanned from column 0. Queries with an `X`
+//! in the top `K` fall back to the caller's full scan.
 //!
 //! Buckets store *global* row ids in ascending order, so priority and LPM
 //! semantics are identical to the full scan.
@@ -98,8 +102,9 @@ impl PrefixIndex {
         self.stride
     }
 
-    /// The bucket + shared sub-tables covering `q`, or `None` when the
-    /// query has a wildcard in the top `K` digits (caller must full-scan).
+    /// The bucket covering `q`, or `None` when the query has a wildcard in
+    /// the top `K` digits (caller must full-scan). Every row of the bucket
+    /// matches `q` on those `K` digits.
     #[inline]
     fn route(&self, q: &PackedQuery) -> Option<&BitPlaneTable> {
         q.top_value(self.stride).map(|key| &self.buckets[key])
@@ -107,36 +112,28 @@ impl PrefixIndex {
 
     /// Indexed priority search; `None` means "not routable, full-scan".
     pub fn first_match(&self, q: &PackedQuery) -> Option<Option<u32>> {
-        let bucket = self.route(q)?;
-        let a = bucket.first_match(q);
-        let b = self.shared.first_match(q);
-        Some(match (a, b) {
-            (Some(x), Some(y)) => Some(x.min(y)),
-            (x, y) => x.or(y),
-        })
+        let a = self.route(q)?.first_match(q, self.stride);
+        let b = self.shared.first_match(q, 0);
+        Some([a, b].into_iter().flatten().min())
     }
 
-    /// Indexed match count; `None` means "not routable, full-scan".
-    pub fn match_count(&self, q: &PackedQuery) -> Option<u64> {
-        let bucket = self.route(q)?;
-        Some(bucket.match_count(q) + self.shared.match_count(q))
+    /// Indexed first match and match count from one scan of the bucket and
+    /// the shared sub-table; `None` means "not routable, full-scan".
+    pub fn first_and_count(&self, q: &PackedQuery) -> Option<(Option<u32>, u64)> {
+        let (a, m) = self.route(q)?.first_and_count(q, self.stride);
+        let (b, n) = self.shared.first_and_count(q, 0);
+        Some(([a, b].into_iter().flatten().min(), m + n))
     }
 
     /// Indexed LPM; `None` means "not routable, full-scan".
     pub fn lpm(&self, q: &PackedQuery) -> Option<Option<(u32, u16)>> {
-        let bucket = self.route(q)?;
-        let a = bucket.lpm(q);
-        let b = self.shared.lpm(q);
-        Some(match (a, b) {
-            (Some((ga, wa)), Some((gb, wb))) => {
-                if (wa, ga) <= (wb, gb) {
-                    Some((ga, wa))
-                } else {
-                    Some((gb, wb))
-                }
-            }
-            (x, y) => x.or(y),
-        })
+        let a = self.route(q)?.lpm(q, self.stride);
+        let b = self.shared.lpm(q, 0);
+        let best = [a, b]
+            .into_iter()
+            .flatten()
+            .min_by_key(|&(gid, wc)| (wc, gid));
+        Some(best)
     }
 }
 
@@ -163,9 +160,13 @@ mod tests {
         assert!(idx.stride() > 0);
         for v in (0..1u64 << 16).step_by(97) {
             let q = PackedQuery::from_word(&TernaryWord::from_bits(v, 16));
-            assert_eq!(idx.first_match(&q), Some(full.first_match(&q)), "v={v}");
-            assert_eq!(idx.match_count(&q), Some(full.match_count(&q)), "v={v}");
-            assert_eq!(idx.lpm(&q), Some(full.lpm(&q)), "v={v}");
+            assert_eq!(idx.first_match(&q), Some(full.first_match(&q, 0)), "v={v}");
+            assert_eq!(
+                idx.first_and_count(&q),
+                Some(full.first_and_count(&q, 0)),
+                "v={v}"
+            );
+            assert_eq!(idx.lpm(&q), Some(full.lpm(&q, 0)), "v={v}");
         }
     }
 

@@ -39,13 +39,15 @@ pub fn replay(
     let mut prev: Option<PackedQuery> = None;
     let mut base = 0u64;
     for chunk in queries.chunks(batch) {
-        // Serial prologue: pack the batch and chain toggles through `prev`.
-        let packed: Vec<PackedQuery> = chunk.iter().map(PackedQuery::from_word).collect();
-        let mut toggles = Vec::with_capacity(packed.len());
-        for q in &packed {
-            toggles.push(q.toggles_from(prev.as_ref()));
-            prev = Some(q.clone());
-        }
+        // Serial prologue: pack the batch and chain toggles through it,
+        // starting from the last query of the previous batch.
+        let mut packed: Vec<PackedQuery> = chunk.iter().map(PackedQuery::from_word).collect();
+        let previous = std::iter::once(prev.as_ref()).chain(packed.iter().map(Some));
+        let toggles: Vec<u32> = packed
+            .iter()
+            .zip(previous)
+            .map(|(q, p)| q.toggles_from(p))
+            .collect();
         // Fan out: one job per shard, each scanning the whole batch.
         let result: Result<Vec<Vec<QueryOutcome>>, Infallible> = exec.run(&shard_ids, |_, &s| {
             let shard = &shards[s];
@@ -69,6 +71,7 @@ pub fn replay(
             stats.record(&merged, q.definite_count(), toggles[j], engine.designs());
         }
         base += chunk.len() as u64;
+        prev = packed.pop();
     }
     stats.wall_nanos = started.elapsed().as_nanos() as u64;
     stats

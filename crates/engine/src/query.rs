@@ -1,60 +1,45 @@
 //! Packed (bitwise) query representation.
 //!
-//! A ternary query of `W` digits packs into two bitmasks — `care` (digit is
-//! definite) and `pattern` (digit is `1`) — plus per-column broadcast masks
-//! (`0` or `!0`) that the column kernels consume directly, so the inner
-//! match loop is pure `u64` logic with no per-digit branching.
+//! A ternary query of `W` digits packs into two compact bitmasks, 64 digits
+//! to a word: `care` (digit is definite) and `pattern` (digit is `1`). The
+//! column kernels walk the definite digits with [`PackedQuery::definite_from`],
+//! which turns each compact pattern bit into the all-zeros or all-ones mask
+//! the 64-row plane logic consumes, so the inner match loop is pure `u64`
+//! logic with no per-digit branching and skips `X` columns outright.
 
 use ftcam_workloads::{Ternary, TernaryWord};
 
 /// A query word packed for the bit-plane kernels.
 ///
 /// Digit `j` (most significant first, matching [`TernaryWord`] indexing)
-/// lands in word `j / 64`, bit `j % 64` of the compact masks, and in slot
-/// `j` of the broadcast masks.
+/// lands in word `j / 64`, bit `j % 64` of the compact masks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedQuery {
     width: usize,
-    /// Compact mask: bit set where the digit is definite (not `X`).
-    care: Vec<u64>,
-    /// Compact mask: bit set where the digit is `1` (subset of `care`).
-    pattern: Vec<u64>,
-    /// Per-column broadcast of the care bit (`0` or `!0`).
-    care_bcast: Vec<u64>,
-    /// Per-column broadcast of the pattern bit (`0` or `!0`).
-    pattern_bcast: Vec<u64>,
+    /// Compact `[care, pattern]` mask words: `care` has a bit set where the
+    /// digit is definite (not `X`), `pattern` where it is `1` (a subset of
+    /// `care`).
+    masks: Vec<[u64; 2]>,
 }
 
 impl PackedQuery {
     /// Packs a ternary word.
     pub fn from_word(word: &TernaryWord) -> Self {
-        let width = word.width();
-        let words = width.div_ceil(64).max(1);
-        let mut care = vec![0u64; words];
-        let mut pattern = vec![0u64; words];
-        let mut care_bcast = vec![0u64; width];
-        let mut pattern_bcast = vec![0u64; width];
-        for (j, &d) in word.digits().iter().enumerate() {
-            match d {
-                Ternary::X => {}
-                Ternary::Zero => {
-                    care[j / 64] |= 1 << (j % 64);
-                    care_bcast[j] = !0;
-                }
-                Ternary::One => {
-                    care[j / 64] |= 1 << (j % 64);
-                    pattern[j / 64] |= 1 << (j % 64);
-                    care_bcast[j] = !0;
-                    pattern_bcast[j] = !0;
-                }
-            }
-        }
+        let masks = word
+            .digits()
+            .chunks(64)
+            .map(|chunk| {
+                chunk.iter().enumerate().fold([0u64; 2], |[c, p], (b, &d)| {
+                    [
+                        c | (u64::from(d != Ternary::X) << b),
+                        p | (u64::from(d == Ternary::One) << b),
+                    ]
+                })
+            })
+            .collect();
         Self {
-            width,
-            care,
-            pattern,
-            care_bcast,
-            pattern_bcast,
+            width: word.width(),
+            masks,
         }
     }
 
@@ -65,31 +50,37 @@ impl PackedQuery {
 
     /// Number of definite (non-`X`) digits.
     pub fn definite_count(&self) -> u32 {
-        self.care.iter().map(|w| w.count_ones()).sum()
+        self.masks.iter().map(|[c, _]| c.count_ones()).sum()
     }
 
-    /// Broadcast care mask for column `col` (`0` or `!0`).
+    /// Broadcast care mask for column `col`: `!0` if the digit is definite,
+    /// `0` for an `X`.
     #[inline]
     pub fn care_mask(&self, col: usize) -> u64 {
-        self.care_bcast[col]
+        broadcast(self.masks[col / 64][0], col % 64)
     }
 
-    /// Broadcast pattern mask for column `col` (`0` or `!0`).
+    /// Broadcast pattern mask for column `col`: `!0` for a definite `1`,
+    /// `0` otherwise.
     #[inline]
     pub fn pattern_mask(&self, col: usize) -> u64 {
-        self.pattern_bcast[col]
+        broadcast(self.masks[col / 64][1], col % 64)
     }
 
-    /// `true` if column `col` is definite.
+    /// The definite columns from column `from` on, ascending, each with its
+    /// broadcast pattern mask; `X` columns are skipped.
     #[inline]
-    pub fn is_definite(&self, col: usize) -> bool {
-        self.care_bcast[col] != 0
-    }
-
-    /// `true` if column `col` is a definite `1`.
-    #[inline]
-    pub fn bit(&self, col: usize) -> bool {
-        self.pattern_bcast[col] != 0
+    pub(crate) fn definite_from(&self, from: usize) -> DefiniteColumns<'_> {
+        let word = from / 64;
+        let bits = self
+            .masks
+            .get(word)
+            .map_or(0, |[c, _]| c & (!0u64 << (from % 64)));
+        DefiniteColumns {
+            masks: &self.masks,
+            word,
+            bits,
+        }
     }
 
     /// Search-line pair transitions against the previous query of a stream,
@@ -102,30 +93,63 @@ impl PackedQuery {
             return self.definite_count();
         };
         debug_assert_eq!(self.width, prev.width);
-        let mut toggles = 0u32;
-        for i in 0..self.care.len() {
-            // SL is driven high on a definite 1, SLB on a definite 0.
-            let sl_c = self.care[i] & self.pattern[i];
-            let slb_c = self.care[i] & !self.pattern[i];
-            let sl_p = prev.care[i] & prev.pattern[i];
-            let slb_p = prev.care[i] & !prev.pattern[i];
-            toggles += ((sl_c ^ sl_p) | (slb_c ^ slb_p)).count_ones();
-        }
-        toggles
+        self.masks
+            .iter()
+            .zip(&prev.masks)
+            .map(|(&[care, pattern], &[prev_care, prev_pattern])| {
+                // SL is driven high on a definite 1, SLB on a definite 0.
+                let sl = (care & pattern) ^ (prev_care & prev_pattern);
+                let slb = (care & !pattern) ^ (prev_care & !prev_pattern);
+                (sl | slb).count_ones()
+            })
+            .sum()
     }
 
     /// The value of the top `k` digits (most significant first), or `None`
-    /// if any of them is `X` — the prefix-stride index key.
+    /// if any of them is `X` — the prefix-stride index key. `k` is at most
+    /// 64 and the width.
     pub fn top_value(&self, k: usize) -> Option<usize> {
-        debug_assert!(k <= self.width);
-        let mut value = 0usize;
-        for j in 0..k {
-            if self.care_bcast[j] == 0 {
-                return None;
-            }
-            value = (value << 1) | usize::from(self.pattern_bcast[j] != 0);
+        debug_assert!(k <= self.width.min(64));
+        if k == 0 {
+            return Some(0);
         }
-        Some(value)
+        let low = !0u64 >> (64 - k);
+        let [care, pattern] = self.masks[0];
+        // Digit 0 sits in bit 0, so the key is the low `k` bits reversed.
+        (care & low == low).then(|| ((pattern & low).reverse_bits() >> (64 - k)) as usize)
+    }
+}
+
+/// `!0` if bit `bit` of `word` is set, else `0`.
+#[inline]
+fn broadcast(word: u64, bit: usize) -> u64 {
+    0u64.wrapping_sub((word >> bit) & 1)
+}
+
+/// Iterator over a query's definite columns: yields `(column, pattern
+/// mask)` in ascending column order. See [`PackedQuery::definite_from`].
+#[derive(Debug, Clone)]
+pub(crate) struct DefiniteColumns<'a> {
+    masks: &'a [[u64; 2]],
+    /// Mask word holding the columns `bits` still lists.
+    word: usize,
+    /// Care bits of `word` not yet yielded.
+    bits: u64,
+}
+
+impl Iterator for DefiniteColumns<'_> {
+    type Item = (usize, u64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, u64)> {
+        while self.bits == 0 {
+            self.word += 1;
+            self.bits = self.masks.get(self.word)?[0];
+        }
+        let bit = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        let pattern = broadcast(self.masks[self.word][1], bit);
+        Some((self.word * 64 + bit, pattern))
     }
 }
 
@@ -146,22 +170,38 @@ mod tests {
         let q = PackedQuery::from_word(&w);
         assert_eq!(q.width(), 4);
         assert_eq!(q.definite_count(), 3);
-        assert!(q.is_definite(0) && q.bit(0));
-        assert!(q.is_definite(1) && !q.bit(1));
-        assert!(!q.is_definite(2));
-        assert!(q.is_definite(3) && q.bit(3));
+        let masks: Vec<(u64, u64)> = (0..4)
+            .map(|j| (q.care_mask(j), q.pattern_mask(j)))
+            .collect();
+        assert_eq!(masks, [(!0, !0), (!0, 0), (0, 0), (!0, !0)]);
+        let definite: Vec<(usize, u64)> = q.definite_from(0).collect();
+        assert_eq!(definite, [(0, !0), (1, 0), (3, !0)]);
+        assert_eq!(q.definite_from(2).collect::<Vec<_>>(), [(3, !0)]);
+        assert_eq!(q.definite_from(4).next(), None);
     }
 
     #[test]
     fn wide_words_span_multiple_mask_words() {
-        let mut digits = vec![Ternary::Zero; 100];
+        let mut digits = vec![Ternary::Zero; 130];
         digits[0] = Ternary::One;
         digits[70] = Ternary::One;
         digits[99] = Ternary::X;
+        for d in &mut digits[64..70] {
+            *d = Ternary::X;
+        }
         let q = PackedQuery::from_word(&TernaryWord::new(digits));
-        assert_eq!(q.definite_count(), 99);
-        assert!(q.bit(70));
-        assert!(!q.is_definite(99));
+        assert_eq!(q.definite_count(), 123);
+        assert_eq!((q.care_mask(70), q.pattern_mask(70)), (!0, !0));
+        assert_eq!((q.care_mask(71), q.pattern_mask(71)), (!0, 0));
+        assert_eq!((q.care_mask(99), q.pattern_mask(99)), (0, 0));
+        assert_eq!(q.care_mask(129), !0);
+        // Starting inside the X run of word 1 resumes at column 70.
+        assert_eq!(q.definite_from(60).nth(4), Some((70, !0)));
+        assert_eq!(
+            q.definite_from(128).collect::<Vec<_>>(),
+            [(128, 0), (129, 0)]
+        );
+        assert_eq!(q.definite_from(0).count(), 123);
     }
 
     #[test]
@@ -189,5 +229,8 @@ mod tests {
         assert_eq!(q.top_value(2), Some(0b10));
         assert_eq!(q.top_value(4), Some(0b1011));
         assert_eq!(q.top_value(5), None);
+        let q = PackedQuery::from_word(&TernaryWord::from_bits(0x8000_0000_0000_0001, 64));
+        assert_eq!(q.top_value(64), Some(0x8000_0000_0000_0001));
+        assert_eq!(q.top_value(1), Some(1));
     }
 }

@@ -9,13 +9,16 @@
 //! bits differ, so one `u64` of per-column work resolves 64 rows at once:
 //!
 //! ```text
-//! miss = care_plane & q_care & (pattern_plane ^ q_pattern)
+//! miss = care_plane & (pattern_plane ^ q_pattern)
 //! ```
 //!
-//! where `q_care`/`q_pattern` are the query's broadcast masks (all-zeros or
-//! all-ones). Searches keep an `alive` mask per block and stop scanning
+//! for each definite query column, where `q_pattern` is the query's pattern
+//! bit broadcast to all-zeros or all-ones; `X` query columns are never
+//! visited. Searches keep an `alive` mask per block and stop scanning
 //! columns as soon as it empties, which mirrors the dominant-case early
 //! termination of a real match-line: most rows die within a few digits.
+//! A scan may start past column 0 when the caller knows every row matches
+//! the columns before it (a prefix-index bucket).
 
 use ftcam_workloads::{TcamTable, Ternary};
 
@@ -125,18 +128,14 @@ impl BitPlaneTable {
         self.row_ids.len().div_ceil(BLOCK_ROWS)
     }
 
-    /// Mask of matching rows within block `blk`.
+    /// Mask of matching rows within block `blk`, comparing columns
+    /// `from..width` only.
     #[inline]
-    fn match_block(&self, q: &PackedQuery, blk: usize) -> u64 {
+    fn match_block(&self, q: &PackedQuery, blk: usize, from: usize) -> u64 {
         let base = blk * self.width;
         let mut alive = self.block_mask(blk);
-        for col in 0..self.width {
-            let qc = q.care_mask(col);
-            if qc == 0 {
-                continue;
-            }
-            let miss = self.care[base + col] & (self.pattern[base + col] ^ q.pattern_mask(col));
-            alive &= !miss;
+        for (col, qp) in q.definite_from(from) {
+            alive &= !(self.care[base + col] & (self.pattern[base + col] ^ qp));
             if alive == 0 {
                 break;
             }
@@ -145,31 +144,40 @@ impl BitPlaneTable {
     }
 
     /// Lowest-priority-index matching row (global id), if any.
-    pub fn first_match(&self, q: &PackedQuery) -> Option<u32> {
-        for blk in 0..self.blocks() {
-            let alive = self.match_block(q, blk);
-            if alive != 0 {
-                let slot = blk * BLOCK_ROWS + alive.trailing_zeros() as usize;
-                return Some(self.row_ids[slot]);
-            }
-        }
-        None
+    ///
+    /// The scan compares columns `from..width`: the caller guarantees that
+    /// every stored row matches `q` on the columns before `from` (0 for a
+    /// full scan). The same holds for [`Self::first_and_count`] and
+    /// [`Self::lpm`].
+    pub fn first_match(&self, q: &PackedQuery, from: usize) -> Option<u32> {
+        (0..self.blocks()).find_map(|blk| {
+            let alive = self.match_block(q, blk, from);
+            (alive != 0).then(|| self.row_ids[blk * BLOCK_ROWS + alive.trailing_zeros() as usize])
+        })
     }
 
-    /// Number of matching rows.
-    pub fn match_count(&self, q: &PackedQuery) -> u64 {
-        (0..self.blocks())
-            .map(|blk| u64::from(self.match_block(q, blk).count_ones()))
-            .sum()
+    /// Lowest matching row (global id) and the number of matching rows,
+    /// from one scan.
+    pub fn first_and_count(&self, q: &PackedQuery, from: usize) -> (Option<u32>, u64) {
+        let mut first = None;
+        let mut count = 0u64;
+        for blk in 0..self.blocks() {
+            let alive = self.match_block(q, blk, from);
+            if first.is_none() && alive != 0 {
+                first = Some(self.row_ids[blk * BLOCK_ROWS + alive.trailing_zeros() as usize]);
+            }
+            count += u64::from(alive.count_ones());
+        }
+        (first, count)
     }
 
     /// Longest-prefix match: among matching rows, the one with the fewest
     /// wildcard digits, ties broken by lowest global id. Returns
     /// `(global_id, wildcard_count)`.
-    pub fn lpm(&self, q: &PackedQuery) -> Option<(u32, u16)> {
+    pub fn lpm(&self, q: &PackedQuery, from: usize) -> Option<(u32, u16)> {
         let mut best: Option<(u16, u32)> = None;
         for blk in 0..self.blocks() {
-            let mut alive = self.match_block(q, blk);
+            let mut alive = self.match_block(q, blk, from);
             while alive != 0 {
                 let bit = alive.trailing_zeros() as usize;
                 alive &= alive - 1;
@@ -190,13 +198,8 @@ impl BitPlaneTable {
     fn count_block(&self, q: &PackedQuery, blk: usize, counters: &mut [u64]) {
         counters.fill(0);
         let base = blk * self.width;
-        for col in 0..self.width {
-            let qc = q.care_mask(col);
-            if qc == 0 {
-                continue;
-            }
-            let mut carry =
-                self.care[base + col] & (self.pattern[base + col] ^ q.pattern_mask(col));
+        for (col, qp) in q.definite_from(0) {
+            let mut carry = self.care[base + col] & (self.pattern[base + col] ^ qp);
             for c in counters.iter_mut() {
                 let sum = *c ^ carry;
                 carry &= *c;
@@ -208,30 +211,24 @@ impl BitPlaneTable {
         }
     }
 
-    /// Number of counter planes needed for up to `width` mismatches.
+    /// Number of counter planes that hold up to `width` mismatches.
     #[inline]
     fn counter_planes(&self) -> usize {
-        (usize::BITS - self.width.leading_zeros()) as usize + 1
+        (usize::BITS - self.width.leading_zeros()) as usize
     }
 
     /// Accumulates the per-row mismatch-count histogram for this query into
     /// `hist` (indexed by mismatch count, length `width + 1`).
     pub fn histogram_into(&self, q: &PackedQuery, hist: &mut [u64]) {
         debug_assert!(hist.len() > self.width);
-        let mut counters = vec![0u64; self.counter_planes()];
+        let mut planes = [0u64; usize::BITS as usize];
+        let counters = &mut planes[..self.counter_planes()];
         for blk in 0..self.blocks() {
-            self.count_block(q, blk, &mut counters);
-            let mut valid = self.block_mask(blk);
-            while valid != 0 {
-                let bit = valid.trailing_zeros();
-                valid &= valid - 1;
-                let k: usize = counters
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| (((c >> bit) & 1) as usize) << i)
-                    .sum();
-                hist[k] += 1;
-            }
+            self.count_block(q, blk, counters);
+            split_counts(counters, self.block_mask(blk), 0, &mut |k, rows| {
+                hist[k] += u64::from(rows.count_ones());
+                true
+            });
         }
     }
 
@@ -240,27 +237,41 @@ impl BitPlaneTable {
     /// `(global_id, mismatch_count)`; `None` only for an empty table.
     pub fn nearest(&self, q: &PackedQuery) -> Option<(u32, u32)> {
         let mut best: Option<(u32, u32)> = None;
-        let mut counters = vec![0u64; self.counter_planes()];
+        let mut planes = [0u64; usize::BITS as usize];
+        let counters = &mut planes[..self.counter_planes()];
         for blk in 0..self.blocks() {
-            self.count_block(q, blk, &mut counters);
-            let mut valid = self.block_mask(blk);
-            while valid != 0 {
-                let bit = valid.trailing_zeros();
-                valid &= valid - 1;
-                let k: u32 = counters
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| (((c >> bit) & 1) as u32) << i)
-                    .sum();
-                let slot = blk * BLOCK_ROWS + bit as usize;
-                let key = (k, self.row_ids[slot]);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
+            self.count_block(q, blk, counters);
+            // The first count visited is the block's minimum; its lowest
+            // row is the block's best, and earlier blocks win ties.
+            split_counts(counters, self.block_mask(blk), 0, &mut |k, rows| {
+                let slot = blk * BLOCK_ROWS + rows.trailing_zeros() as usize;
+                if best.is_none_or(|(b, _)| (k as u32) < b) {
+                    best = Some((k as u32, self.row_ids[slot]));
                 }
-            }
+                false
+            });
         }
         best.map(|(k, gid)| (gid, k))
     }
+}
+
+/// Splits the row mask `rows` by the bit-sliced counts in `planes`, top
+/// plane first, and calls `visit(count, rows_with_that_count)` for each
+/// count present, in ascending count order, until it returns `false`.
+/// Empty masks are pruned, so a block costs one visit per distinct count
+/// rather than one bit gather per row and plane.
+fn split_counts(
+    planes: &[u64],
+    rows: u64,
+    count: usize,
+    visit: &mut impl FnMut(usize, u64) -> bool,
+) -> bool {
+    let Some((&top, rest)) = planes.split_last() else {
+        return visit(count, rows);
+    };
+    let (low, high) = (rows & !top, rows & top);
+    (low == 0 || split_counts(rest, low, count, visit))
+        && (high == 0 || split_counts(rest, high, count | (1 << rest.len()), visit))
 }
 
 #[cfg(test)]
@@ -287,7 +298,7 @@ mod tests {
         for q in ["1010", "1011", "0101", "0000", "XXXX", "10XX"] {
             let word: TernaryWord = q.parse().unwrap();
             assert_eq!(
-                bp.first_match(&pq(q)),
+                bp.first_match(&pq(q), 0),
                 t.search(&word).map(|i| i as u32),
                 "query {q}"
             );
@@ -298,9 +309,9 @@ mod tests {
     fn lpm_prefers_fewest_wildcards_then_lowest_id() {
         let t = table(&["10XX", "1010", "XXXX", "10XX"]);
         let bp = BitPlaneTable::from_table(&t);
-        assert_eq!(bp.lpm(&pq("1010")), Some((1, 0)));
-        assert_eq!(bp.lpm(&pq("1011")), Some((0, 2)));
-        assert_eq!(bp.lpm(&pq("0000")), Some((2, 4)));
+        assert_eq!(bp.lpm(&pq("1010"), 0), Some((1, 0)));
+        assert_eq!(bp.lpm(&pq("1011"), 0), Some((0, 2)));
+        assert_eq!(bp.lpm(&pq("0000"), 0), Some((2, 4)));
     }
 
     #[test]
@@ -316,7 +327,7 @@ mod tests {
             let mut hist = vec![0u64; t.width() + 1];
             bp.histogram_into(&pq(q), &mut hist);
             assert_eq!(hist, expect, "query {q}");
-            assert_eq!(bp.match_count(&pq(q)), hist[0], "query {q}");
+            assert_eq!(bp.first_and_count(&pq(q), 0).1, hist[0], "query {q}");
         }
     }
 
@@ -342,8 +353,8 @@ mod tests {
         }
         let shard = BitPlaneTable::from_rows(&t, 70..100);
         let q = PackedQuery::from_word(&TernaryWord::from_bits(85, 8));
-        assert_eq!(shard.first_match(&q), Some(85));
-        assert_eq!(shard.match_count(&q), 1);
+        assert_eq!(shard.first_match(&q, 0), Some(85));
+        assert_eq!(shard.first_and_count(&q, 0), (Some(85), 1));
         assert_eq!(shard.len(), 30);
     }
 }

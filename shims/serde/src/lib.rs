@@ -6,9 +6,9 @@
 //! tree to and from text. The derive macros are re-exported from the local
 //! `serde_derive` proc-macro crate.
 //!
-//! Supported derive attributes: `#[serde(transparent)]` on newtype structs
-//! and `#[serde(tag = "...", rename_all = "snake_case")]` on enums of
-//! newtype variants (internal tagging).
+//! The derives support structs with named fields and, with
+//! `#[serde(tag = "...", rename_all = "snake_case")]`, enums of newtype
+//! variants (internal tagging).
 
 #![forbid(unsafe_code)]
 

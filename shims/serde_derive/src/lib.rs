@@ -2,41 +2,27 @@
 //!
 //! Implemented directly on `proc_macro` token streams (no `syn`/`quote`,
 //! which are unavailable offline). The parser extracts only what codegen
-//! needs — item shape, field/variant names, and the `#[serde(...)]`
-//! attributes this workspace uses (`transparent`, `tag`, `rename_all`) —
-//! and the generated impls are emitted as source text.
+//! needs — item shape, field/variant names, and the enum attribute
+//! `#[serde(tag = "...", rename_all = "snake_case")]` — and the generated
+//! impls are emitted as source text.
 //!
-//! Supported shapes: structs with named fields, tuple/newtype structs, unit
-//! and data enum variants, and internally tagged enums of newtype variants.
-//! Generic types are intentionally rejected.
+//! Supported shapes, the two this workspace derives: structs with named
+//! fields, and internally tagged enums of newtype variants. Other shapes
+//! (tuple and unit structs, enums without a `tag`, unit or struct
+//! variants) and generic types are rejected at expansion time.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-#[derive(Debug, Clone)]
-enum VariantKind {
-    Unit,
-    Newtype,
-    Tuple,
-    Struct(Vec<String>),
-}
-
-#[derive(Debug, Clone)]
-struct Variant {
-    name: String,
-    kind: VariantKind,
-}
-
 #[derive(Debug)]
 enum Shape {
-    NamedStruct(Vec<String>),
-    TupleStruct(usize),
-    UnitStruct,
-    Enum(Vec<Variant>),
+    /// Field names of a named-field struct.
+    Struct(Vec<String>),
+    /// Variant names of an internally tagged enum of newtype variants.
+    Enum(Vec<String>),
 }
 
 #[derive(Debug, Default)]
 struct SerdeAttrs {
-    transparent: bool,
     tag: Option<String>,
     rename_all: Option<String>,
 }
@@ -71,7 +57,7 @@ fn parse_item(input: TokenStream) -> Item {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut attrs = SerdeAttrs::default();
     let mut i = 0;
-    let mut kind: Option<&'static str> = None;
+    let mut is_struct: Option<bool> = None;
     while i < tokens.len() {
         match &tokens[i] {
             TokenTree::Punct(p) if p.as_char() == '#' => {
@@ -81,51 +67,36 @@ fn parse_item(input: TokenStream) -> Item {
                 }
                 i += 2;
             }
-            TokenTree::Ident(id) if *id.to_string() == *"pub" => {
-                i += 1;
-                if let Some(TokenTree::Group(g)) = tokens.get(i) {
-                    if g.delimiter() == Delimiter::Parenthesis {
-                        i += 1; // pub(crate) and friends
-                    }
-                }
-            }
-            TokenTree::Ident(id) if *id.to_string() == *"struct" => {
-                kind = Some("struct");
-                i += 1;
-                break;
-            }
-            TokenTree::Ident(id) if *id.to_string() == *"enum" => {
-                kind = Some("enum");
+            TokenTree::Ident(id) if matches!(id.to_string().as_str(), "struct" | "enum") => {
+                is_struct = Some(id.to_string() == "struct");
                 i += 1;
                 break;
             }
             _ => i += 1,
         }
     }
-    let kind = kind.expect("derive input must be a struct or enum");
+    let is_struct = is_struct.expect("derive input must be a struct or enum");
     let name = match &tokens[i] {
         TokenTree::Ident(id) => id.to_string(),
         other => panic!("expected item name, found {other}"),
     };
-    i += 1;
-    if let Some(TokenTree::Punct(p)) = tokens.get(i) {
-        if p.as_char() == '<' {
-            panic!("serde shim derive does not support generic types ({name})");
+    let body = match tokens.get(i + 1) {
+        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => g.stream(),
+        Some(TokenTree::Punct(p)) if p.as_char() == '<' => {
+            panic!("serde shim derive does not support generic types ({name})")
         }
-    }
-    let shape = match tokens.get(i) {
-        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-            if kind == "struct" {
-                Shape::NamedStruct(parse_named_fields(g.stream()))
-            } else {
-                Shape::Enum(parse_variants(g.stream()))
-            }
+        _ => {
+            panic!("serde shim derive supports only named-field structs and braced enums ({name})")
         }
-        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-            Shape::TupleStruct(count_top_level_fields(g.stream()))
-        }
-        Some(TokenTree::Punct(p)) if p.as_char() == ';' => Shape::UnitStruct,
-        other => panic!("unexpected token after {kind} {name}: {other:?}"),
+    };
+    let shape = if is_struct {
+        Shape::Struct(parse_named_fields(body))
+    } else {
+        assert!(
+            attrs.tag.is_some(),
+            "serde shim derive supports only internally tagged enums ({name})"
+        );
+        Shape::Enum(parse_newtype_variants(&name, body))
     };
     Item { name, shape, attrs }
 }
@@ -143,27 +114,22 @@ fn parse_attr(group: &proc_macro::Group, attrs: &mut SerdeAttrs) {
     let mut j = 0;
     while j < toks.len() {
         if let TokenTree::Ident(id) = &toks[j] {
-            match id.to_string().as_str() {
-                "transparent" => attrs.transparent = true,
-                key @ ("tag" | "rename_all") => {
-                    // `key = "literal"`
-                    if let (Some(TokenTree::Punct(eq)), Some(TokenTree::Literal(lit))) =
-                        (toks.get(j + 1), toks.get(j + 2))
-                    {
-                        if eq.as_char() == '=' {
-                            let s = lit.to_string();
-                            let s = s.trim_matches('"').to_string();
-                            if key == "tag" {
-                                attrs.tag = Some(s);
-                            } else {
-                                attrs.rename_all = Some(s);
-                            }
-                            j += 2;
-                        }
-                    }
+            let key = id.to_string();
+            // `key = "literal"`
+            let value = match (toks.get(j + 1), toks.get(j + 2)) {
+                (Some(TokenTree::Punct(eq)), Some(TokenTree::Literal(lit)))
+                    if eq.as_char() == '=' =>
+                {
+                    lit.to_string().trim_matches('"').to_string()
                 }
+                _ => panic!("unsupported #[serde({key} ...)] attribute in shim"),
+            };
+            match key.as_str() {
+                "tag" => attrs.tag = Some(value),
+                "rename_all" => attrs.rename_all = Some(value),
                 other => panic!("unsupported #[serde({other} ...)] attribute in shim"),
             }
+            j += 2;
         }
         j += 1;
     }
@@ -217,34 +183,8 @@ fn skip_attrs_and_vis(toks: &[TokenTree], mut i: usize) -> usize {
     }
 }
 
-/// Counts tuple-struct fields: top-level commas at `<...>` depth zero.
-fn count_top_level_fields(stream: TokenStream) -> usize {
-    let toks: Vec<TokenTree> = stream.into_iter().collect();
-    if toks.is_empty() {
-        return 0;
-    }
-    let mut n = 1;
-    let mut angle = 0i32;
-    let mut trailing_comma = false;
-    for t in &toks {
-        trailing_comma = false;
-        match t {
-            TokenTree::Punct(p) if p.as_char() == '<' => angle += 1,
-            TokenTree::Punct(p) if p.as_char() == '>' => angle -= 1,
-            TokenTree::Punct(p) if p.as_char() == ',' && angle == 0 => {
-                n += 1;
-                trailing_comma = true;
-            }
-            _ => {}
-        }
-    }
-    if trailing_comma {
-        n -= 1;
-    }
-    n
-}
-
-fn parse_variants(stream: TokenStream) -> Vec<Variant> {
+/// Variant names of an enum body whose variants are all `Name(Payload)`.
+fn parse_newtype_variants(enum_name: &str, stream: TokenStream) -> Vec<String> {
     let toks: Vec<TokenTree> = stream.into_iter().collect();
     let mut variants = Vec::new();
     let mut i = 0;
@@ -254,27 +194,15 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
             break;
         };
         let name = id.to_string();
-        i += 1;
-        let kind = match toks.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                i += 1;
-                match count_top_level_fields(g.stream()) {
-                    1 => VariantKind::Newtype,
-                    _ => VariantKind::Tuple,
-                }
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                i += 1;
-                VariantKind::Struct(parse_named_fields(g.stream()))
-            }
-            _ => VariantKind::Unit,
-        };
-        variants.push(Variant { name, kind });
-        if let Some(TokenTree::Punct(p)) = toks.get(i) {
-            if p.as_char() == ',' {
-                i += 1;
-            }
+        match toks.get(i + 1) {
+            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {}
+            _ => panic!(
+                "serde shim: tagged enums support only newtype variants ({enum_name}::{name})"
+            ),
         }
+        variants.push(name);
+        // Skip the payload and the separating comma.
+        i += 3;
     }
     variants
 }
@@ -297,10 +225,23 @@ fn rename(name: &str, rule: Option<&str>) -> String {
             }
             out
         }
-        Some("lowercase") => name.to_ascii_lowercase(),
         Some(other) => panic!("unsupported rename_all rule `{other}` in shim"),
         None => name.to_string(),
     }
+}
+
+/// The enum's tag key and its `(variant name, wire name)` pairs.
+fn tagged_variants<'a>(
+    item: &'a Item,
+    variants: &'a [String],
+) -> (&'a str, Vec<(&'a str, String)>) {
+    let tag = item.attrs.tag.as_deref().expect("tagged enum has a tag");
+    let rule = item.attrs.rename_all.as_deref();
+    let wire = variants
+        .iter()
+        .map(|v| (v.as_str(), rename(v, rule)))
+        .collect();
+    (tag, wire)
 }
 
 // ---------------------------------------------------------------- codegen
@@ -308,7 +249,7 @@ fn rename(name: &str, rule: Option<&str>) -> String {
 fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.shape {
-        Shape::NamedStruct(fields) => {
+        Shape::Struct(fields) => {
             let mut b = String::from(
                 "let mut __m: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
                  ::std::vec::Vec::new();\n",
@@ -322,15 +263,24 @@ fn gen_serialize(item: &Item) -> String {
             b.push_str("::serde::Value::Map(__m)");
             b
         }
-        Shape::TupleStruct(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Shape::TupleStruct(n) => {
-            let elems: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            format!("::serde::Value::Seq(::std::vec![{}])", elems.join(", "))
+        Shape::Enum(variants) => {
+            // The payload serialises to a map; the tag goes in front.
+            let (tag, variants) = tagged_variants(item, variants);
+            let mut arms = String::new();
+            for (vn, wire) in variants {
+                arms.push_str(&format!(
+                    "Self::{vn}(__inner) => {{\n\
+                     let mut __v = ::serde::Serialize::to_value(__inner);\n\
+                     match &mut __v {{\n\
+                     ::serde::Value::Map(__m) => __m.insert(0, (\
+                     ::std::string::String::from(\"{tag}\"), \
+                     ::serde::Value::Str(::std::string::String::from(\"{wire}\")))),\n\
+                     _ => panic!(\"internally tagged variant {vn} must serialise to a map\"),\n\
+                     }}\n__v\n}}\n"
+                ));
+            }
+            format!("match self {{\n{arms}}}")
         }
-        Shape::UnitStruct => "::serde::Value::Null".to_string(),
-        Shape::Enum(variants) => gen_serialize_enum(item, variants),
     };
     format!(
         "impl ::serde::Serialize for {name} {{\n\
@@ -338,173 +288,48 @@ fn gen_serialize(item: &Item) -> String {
     )
 }
 
-fn gen_serialize_enum(item: &Item, variants: &[Variant]) -> String {
-    let rule = item.attrs.rename_all.as_deref();
-    let mut arms = String::new();
-    for v in variants {
-        let vn = &v.name;
-        let wire = rename(vn, rule);
-        match (&v.kind, &item.attrs.tag) {
-            (VariantKind::Unit, _) => arms.push_str(&format!(
-                "Self::{vn} => \
-                 ::serde::Value::Str(::std::string::String::from(\"{wire}\")),\n"
-            )),
-            (VariantKind::Newtype, Some(tag)) => arms.push_str(&format!(
-                "Self::{vn}(__inner) => {{\n\
-                 let mut __v = ::serde::Serialize::to_value(__inner);\n\
-                 match &mut __v {{\n\
-                 ::serde::Value::Map(__m) => __m.insert(0, (\
-                 ::std::string::String::from(\"{tag}\"), \
-                 ::serde::Value::Str(::std::string::String::from(\"{wire}\")))),\n\
-                 _ => panic!(\"internally tagged variant {vn} must serialise to a map\"),\n\
-                 }}\n__v\n}}\n"
-            )),
-            (VariantKind::Newtype, None) => arms.push_str(&format!(
-                "Self::{vn}(__inner) => ::serde::Value::Map(::std::vec![(\
-                 ::std::string::String::from(\"{wire}\"), \
-                 ::serde::Serialize::to_value(__inner))]),\n"
-            )),
-            (VariantKind::Struct(fields), None) => {
-                let mut inner = String::from(
-                    "let mut __m: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
-                     ::std::vec::Vec::new();\n",
-                );
-                for f in fields {
-                    inner.push_str(&format!(
-                        "__m.push((::std::string::String::from(\"{f}\"), \
-                         ::serde::Serialize::to_value({f})));\n"
-                    ));
-                }
-                let pat: Vec<&str> = fields.iter().map(String::as_str).collect();
-                arms.push_str(&format!(
-                    "Self::{vn} {{ {} }} => {{\n{inner}\
-                     ::serde::Value::Map(::std::vec![(\
-                     ::std::string::String::from(\"{wire}\"), ::serde::Value::Map(__m))])\n}}\n",
-                    pat.join(", ")
-                ));
-            }
-            (VariantKind::Tuple, _) | (VariantKind::Struct(_), Some(_)) => panic!(
-                "serde shim: unsupported enum variant shape {vn} in {}",
-                item.name
-            ),
-        }
-    }
-    format!("match self {{\n{arms}}}")
-}
-
 fn gen_deserialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.shape {
-        Shape::NamedStruct(fields) => gen_deserialize_named(name, fields, "Self"),
-        Shape::TupleStruct(1) => {
-            "::std::result::Result::Ok(Self(::serde::Deserialize::from_value(__v)?))".to_string()
-        }
-        Shape::TupleStruct(n) => {
-            let elems: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::from_value(&__s[{i}])?"))
-                .collect();
+        Shape::Struct(fields) => {
+            let mut inits = String::new();
+            for f in fields {
+                inits.push_str(&format!(
+                    "{f}: ::serde::Deserialize::from_value(::serde::map_get(__m, \"{f}\"))\
+                     .map_err(|e| e.in_field(\"{name}.{f}\"))?,\n"
+                ));
+            }
             format!(
-                "let __s = __v.as_seq().ok_or_else(|| \
-                 ::serde::Error::expected(\"array\", \"{name}\"))?;\n\
-                 if __s.len() != {n} {{\n\
-                 return ::std::result::Result::Err(\
-                 ::serde::Error::expected(\"{n}-element array\", \"{name}\"));\n}}\n\
-                 ::std::result::Result::Ok(Self({}))",
-                elems.join(", ")
+                "let __m = __v.as_map().ok_or_else(|| \
+                 ::serde::Error::expected(\"map\", \"{name}\"))?;\n\
+                 ::std::result::Result::Ok(Self {{\n{inits}}})"
             )
         }
-        Shape::UnitStruct => "::std::result::Result::Ok(Self)".to_string(),
-        Shape::Enum(variants) => gen_deserialize_enum(item, variants),
+        Shape::Enum(variants) => {
+            // Look up the tag and hand the whole map to the newtype
+            // payload, which ignores the extra tag key.
+            let (tag, variants) = tagged_variants(item, variants);
+            let mut arms = String::new();
+            for (vn, wire) in variants {
+                arms.push_str(&format!(
+                    "\"{wire}\" => ::std::result::Result::Ok(\
+                     Self::{vn}(::serde::Deserialize::from_value(__v)?)),\n"
+                ));
+            }
+            format!(
+                "let __m = __v.as_map().ok_or_else(|| \
+                 ::serde::Error::expected(\"map\", \"{name}\"))?;\n\
+                 let __tag = ::serde::map_get(__m, \"{tag}\").as_str().ok_or_else(|| \
+                 ::serde::Error::expected(\"`{tag}` tag\", \"{name}\"))?;\n\
+                 match __tag {{\n{arms}\
+                 __other => ::std::result::Result::Err(::serde::Error::msg(\
+                 format!(\"unknown {name} variant `{{__other}}`\"))),\n}}"
+            )
+        }
     };
     format!(
         "impl ::serde::Deserialize for {name} {{\n\
          fn from_value(__v: &::serde::Value) -> \
          ::std::result::Result<Self, ::serde::Error> {{\n{body}\n}}\n}}\n"
-    )
-}
-
-/// Constructor expression for a named-field struct (or struct variant) read
-/// from map `__m`.
-fn gen_deserialize_named(context: &str, fields: &[String], ctor: &str) -> String {
-    let mut inits = String::new();
-    for f in fields {
-        inits.push_str(&format!(
-            "{f}: ::serde::Deserialize::from_value(::serde::map_get(__m, \"{f}\"))\
-             .map_err(|e| e.in_field(\"{context}.{f}\"))?,\n"
-        ));
-    }
-    format!(
-        "let __m = __v.as_map().ok_or_else(|| \
-         ::serde::Error::expected(\"map\", \"{context}\"))?;\n\
-         ::std::result::Result::Ok({ctor} {{\n{inits}}})"
-    )
-}
-
-fn gen_deserialize_enum(item: &Item, variants: &[Variant]) -> String {
-    let name = &item.name;
-    let rule = item.attrs.rename_all.as_deref();
-    if let Some(tag) = &item.attrs.tag {
-        // Internally tagged: look up the tag, hand the whole map to the
-        // newtype payload (which ignores the extra tag key).
-        let mut arms = String::new();
-        for v in variants {
-            let vn = &v.name;
-            let wire = rename(vn, rule);
-            match v.kind {
-                VariantKind::Newtype => arms.push_str(&format!(
-                    "\"{wire}\" => ::std::result::Result::Ok(\
-                     Self::{vn}(::serde::Deserialize::from_value(__v)?)),\n"
-                )),
-                _ => panic!("tagged enums support only newtype variants in shim ({name})"),
-            }
-        }
-        return format!(
-            "let __m = __v.as_map().ok_or_else(|| \
-             ::serde::Error::expected(\"map\", \"{name}\"))?;\n\
-             let __tag = ::serde::map_get(__m, \"{tag}\").as_str().ok_or_else(|| \
-             ::serde::Error::expected(\"`{tag}` tag\", \"{name}\"))?;\n\
-             match __tag {{\n{arms}\
-             __other => ::std::result::Result::Err(::serde::Error::msg(\
-             format!(\"unknown {name} variant `{{__other}}`\"))),\n}}"
-        );
-    }
-    // Externally tagged (serde default): unit variants are strings, data
-    // variants are single-key maps.
-    let mut str_arms = String::new();
-    let mut map_arms = String::new();
-    for v in variants {
-        let vn = &v.name;
-        let wire = rename(vn, rule);
-        match &v.kind {
-            VariantKind::Unit => str_arms.push_str(&format!(
-                "\"{wire}\" => ::std::result::Result::Ok(Self::{vn}),\n"
-            )),
-            VariantKind::Newtype => map_arms.push_str(&format!(
-                "\"{wire}\" => ::std::result::Result::Ok(\
-                 Self::{vn}(::serde::Deserialize::from_value(__inner)?)),\n"
-            )),
-            VariantKind::Struct(fields) => {
-                let ctor = format!("Self::{vn}");
-                let inner = gen_deserialize_named(&format!("{name}::{vn}"), fields, &ctor)
-                    .replace("__v.as_map()", "__inner.as_map()");
-                map_arms.push_str(&format!("\"{wire}\" => {{\n{inner}\n}}\n"));
-            }
-            VariantKind::Tuple => {
-                panic!("serde shim: tuple enum variants unsupported ({name}::{vn})")
-            }
-        }
-    }
-    format!(
-        "match __v {{\n\
-         ::serde::Value::Str(__s) => match __s.as_str() {{\n{str_arms}\
-         __other => ::std::result::Result::Err(::serde::Error::msg(\
-         format!(\"unknown {name} variant `{{__other}}`\"))),\n}},\n\
-         ::serde::Value::Map(__map) if __map.len() == 1 => {{\n\
-         let (__k, __inner) = &__map[0];\n\
-         match __k.as_str() {{\n{map_arms}\
-         __other => ::std::result::Result::Err(::serde::Error::msg(\
-         format!(\"unknown {name} variant `{{__other}}`\"))),\n}}\n}},\n\
-         __other => ::std::result::Result::Err(\
-         ::serde::Error::expected(\"string or single-key map\", \"{name}\")),\n}}"
     )
 }
