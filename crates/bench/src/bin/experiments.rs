@@ -169,7 +169,7 @@ fn main() -> ExitCode {
                         println!(
                             "_recovery: {} gmin retry(ies) / {} damped retry(ies) / \
                              {} non-finite rejection(s); {} step(s) recovered; \
-                             {} dense demotion(s)_",
+                             {} rejected pivot(s)_",
                             s.recovery.gmin_retries,
                             s.recovery.damped_retries,
                             s.recovery.nonfinite,

@@ -16,8 +16,8 @@
 //!   than [`TOLERANCE`] means the reuse/chord guards got weaker;
 //! * Newton-iteration regressions — iterations growing more than
 //!   [`TOLERANCE`] means convergence got slower at the same steps;
-//! * dense demotions — the baseline records none, so any silent fallback
-//!   from the sparse LU to the dense one fails the gate.
+//! * rejected pivots (`dense_demotions`) — the baseline records none, so
+//!   any analysis whose sparse LU rejects a pivot fails the gate.
 //!
 //! Wall-clock is deliberately *not* gated: CI machines are too noisy.
 //! The counters are deterministic, so a 20% margin only absorbs genuine
@@ -77,7 +77,7 @@ fn run(current: &BenchReport, baseline: &BenchReport) -> bool {
         base_steps.newton_iters,
     );
     ok &= check_growth(
-        "dense demotions",
+        "rejected pivots (dense_demotions)",
         current.total_recovery().dense_demotions,
         baseline.total_recovery().dense_demotions,
     );

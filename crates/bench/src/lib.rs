@@ -25,7 +25,7 @@ pub struct BenchRecord {
     pub wall_nanos: u64,
     /// Transient step statistics for the experiment.
     pub steps: StepStats,
-    /// Recovery-ladder activity (including dense demotions).
+    /// Recovery-ladder activity (including rejected pivots).
     pub recovery: RecoveryStats,
     /// Solver hot-path counters (factorisations, LU bypasses, baseline
     /// reuse, tape replays).

@@ -123,11 +123,11 @@ pub(crate) fn solve_dc(
 ) -> Result<(Vec<f64>, usize), CircuitError> {
     let mut ws = NewtonWorkspace::new(vars.n_unknowns());
     let result = homotopy(circuit, vars, settings, &mut ws);
-    // The one exit: the solver work and any dense demotion of this
+    // The one exit: the solver work and any rejected pivot of this
     // operating point reach the process-wide totals exactly once.
     probe::SOLVER.add(ws.perf);
     probe::RECOVERY.add(RecoveryStats {
-        dense_demotions: ws.matrix.demotions(),
+        dense_demotions: u64::from(ws.matrix.rejected_pivot()),
         ..RecoveryStats::default()
     });
     result

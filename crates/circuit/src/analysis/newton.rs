@@ -207,8 +207,8 @@ impl NewtonSettings {
 
 /// Every ingredient of the *static* part of the matrix: the step size,
 /// the integration method, the `gmin` shunt, and the matrix epoch (which
-/// advances on structural growth only; the dense fallback keeps it). It
-/// keys both the frozen LU factorisation and the cached baseline matrix.
+/// advances on structural growth only). It keys both the frozen LU
+/// factorisation and the cached baseline matrix.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct FactorKey {
     dt_bits: Option<u64>,
@@ -231,11 +231,11 @@ impl FactorKey {
 /// Reusable buffers for the Newton iteration (avoids per-step allocation).
 ///
 /// The system matrix keeps sparse slots at every size and factors them
-/// with the no-pivot sparse LU (symbolic reuse, dense LU on a bad pivot;
-/// see [`crate::linalg::SystemMatrix`]). Beyond the matrix and vectors
-/// this carries the hot-path state that persists across calls: the
-/// static/dynamic device partition, the two stamp tapes, the baseline
-/// snapshot and its key, and the frozen-factor bookkeeping.
+/// with the no-pivot sparse LU (symbolic reuse, branch rows ordered after
+/// their nodes; see [`crate::linalg::SystemMatrix`]). Beyond the matrix
+/// and vectors this carries the hot-path state that persists across
+/// calls: the static/dynamic device partition, the two stamp tapes, the
+/// baseline snapshot and its key, and the frozen-factor bookkeeping.
 #[derive(Debug)]
 pub(crate) struct NewtonWorkspace {
     pub matrix: SystemMatrix,

@@ -467,7 +467,7 @@ impl Transient {
         let result = self.integrate(circuit, &vars, &mut ws, &mut stats, &mut recovery);
         // The one exit: whatever the outcome, the work done so far is
         // added to the process-wide totals exactly once.
-        recovery.dense_demotions = ws.matrix.demotions();
+        recovery.dense_demotions = u64::from(ws.matrix.rejected_pivot());
         probe::STEPS.add(stats);
         probe::RECOVERY.add(recovery);
         probe::SOLVER.add(ws.perf);

@@ -21,7 +21,8 @@ pub enum CircuitError {
         /// Number of iterations attempted.
         iterations: usize,
     },
-    /// The linear system was singular (floating node or broken topology).
+    /// The linear system was singular (a floating node or a loop of
+    /// voltage sources), or a pivot was too small for the no-pivot LU.
     SingularMatrix {
         /// Row/column index at which elimination broke down.
         pivot: usize,

@@ -48,11 +48,11 @@
 //! TCAM testbenches pin all drivers and supplies, leaving at most a few
 //! hundred unknowns, with about four nonzeros per matrix row. Every
 //! system, whatever its size, stamps sparse slots factored by a no-pivot
-//! sparse LU with one-time symbolic factorisation. On a bad pivot it
-//! switches factorisation to the dense LU of the same values for the rest
-//! of the analysis; slots, tapes and baselines are untouched, so
-//! correctness never depends on the no-pivot path
-//! ([`linalg::SystemMatrix`]). The Newton loop stamps
+//! sparse LU with one-time symbolic factorisation. Its ordering eliminates
+//! voltage-source branch rows after their nodes, so with a `gmin` shunt
+//! on every node no pivot is zero unless the sources form a loop; a
+//! rejected pivot is a [`CircuitError::SingularMatrix`] for the analysis's
+//! recovery ([`linalg::SystemMatrix`]). The Newton loop stamps
 //! each time point's fixed part once and restamps only what moves with
 //! the iterate ([`HotPath`], [`Device::stamp_companions`]); at an
 //! unchanged `(dt, method, gmin)` it restores the fixed part's matrix and

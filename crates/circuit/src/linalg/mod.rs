@@ -1,14 +1,14 @@
 //! Linear algebra for MNA systems: the [`SystemMatrix`] every analysis
 //! stamps into, with slot-resolved stamp tapes for zero-hash reassembly.
 //! Its values live in sparse slots and are factored by a no-pivot sparse
-//! LU with reusable symbolic factorisation; on a bad pivot it factors the
-//! same values with the dense partial-pivot LU ([`DenseMatrix`]), which
-//! is also the reference the tests compare against.
+//! LU with reusable symbolic factorisation, which orders MNA branch rows
+//! after their nodes. A dense partial-pivot LU exists only in the tests,
+//! as the reference the sparse LU is compared against.
 
+#[cfg(test)]
 mod dense;
 mod sparse;
 
-pub use dense::DenseMatrix;
 use sparse::SparseMatrix;
 
 use crate::error::CircuitError;
@@ -33,10 +33,10 @@ struct TapeEntry {
 /// turns every `add(row, col, v)` — a hash lookup — into a verified
 /// `values[slot] += v` array write. A tape is only replayable against the
 /// matrix *epoch* it was recorded at: structural growth bumps the epoch
-/// and forces a re-record. The dense fallback leaves slots, and so tapes,
-/// untouched. Tapes are owned by the caller (the Newton workspace) and
-/// passed in and out of [`SystemMatrix::begin_tape`] /
-/// [`SystemMatrix::end_tape`], so no allocation happens in steady state.
+/// and forces a re-record; factorisation never does. Tapes are owned by
+/// the caller (the Newton workspace) and passed in and out of
+/// [`SystemMatrix::begin_tape`] / [`SystemMatrix::end_tape`], so no
+/// allocation happens in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct StampTape {
     entries: Vec<TapeEntry>,
@@ -94,17 +94,15 @@ enum TapeMode {
 /// / [`SystemMatrix::factor`] + [`SystemMatrix::substitute`] (or the
 /// combined [`SystemMatrix::solve_in_place`]). The values live in sparse
 /// slots for the whole analysis and are factored by the no-pivot sparse
-/// LU. If that LU ever hits a bad pivot, the matrix switches factorisation
-/// to the dense LU of the same values for the rest of the analysis; slots,
-/// tapes and baselines are untouched, so correctness never depends on the
-/// no-pivot path. The switch is counted once ([`SystemMatrix::demotions`],
-/// surfaced through `RecoveryStats::dense_demotions`).
+/// LU. A pivot that LU rejects is a [`CircuitError::SingularMatrix`] for
+/// the analysis's recovery to handle; whether any was rejected is kept
+/// ([`SystemMatrix::rejected_pivot`], surfaced through
+/// `RecoveryStats::dense_demotions`).
 #[derive(Debug, Clone)]
 pub struct SystemMatrix {
     sparse: SparseMatrix,
-    /// The dense partial-pivot LU, set on the first bad sparse pivot; from
-    /// then on it factors the sparse slots' values.
-    fallback: Option<DenseMatrix>,
+    /// Set on the first factorisation that rejects a pivot.
+    rejected_pivot: bool,
     /// Bumped on structural growth only; tapes and cached factorisations
     /// are only valid within one epoch.
     epoch: u64,
@@ -116,15 +114,10 @@ impl SystemMatrix {
     pub fn new(n: usize) -> Self {
         Self {
             sparse: SparseMatrix::zeros(n),
-            fallback: None,
+            rejected_pivot: false,
             epoch: 0,
             tape: TapeMode::Off,
         }
-    }
-
-    /// Matrix dimension.
-    pub fn dim(&self) -> usize {
-        self.sparse.dim()
     }
 
     /// Structural generation: bumped whenever a new `(row, col)` slot is
@@ -133,11 +126,11 @@ impl SystemMatrix {
         self.epoch
     }
 
-    /// `1` once factorisation has fallen back to the dense LU, else `0` —
-    /// the one source of `RecoveryStats::dense_demotions`, read by the
-    /// owning analysis at its exit.
-    pub fn demotions(&self) -> u64 {
-        u64::from(self.fallback.is_some())
+    /// `true` once any factorisation has rejected a pivot — the one
+    /// source of `RecoveryStats::dense_demotions`, read by the owning
+    /// analysis at its exit.
+    pub fn rejected_pivot(&self) -> bool {
+        self.rejected_pivot
     }
 
     /// Zeroes all values, keeping structure, factors, and tape state.
@@ -267,34 +260,22 @@ impl SystemMatrix {
 
     /// `true` when a valid numeric factorisation is stored.
     pub fn is_factored(&self) -> bool {
-        match &self.fallback {
-            Some(dense) => dense.is_factored(),
-            None => self.sparse.is_factored(),
-        }
+        self.sparse.is_factored()
     }
 
     /// Factorises the current values, keeping them intact, and stores the
-    /// factors for [`SystemMatrix::substitute`]. On the sparse LU's first
-    /// bad pivot this and every later factorisation use the dense LU of
-    /// the same values instead (counted in [`SystemMatrix::demotions`]).
+    /// factors for [`SystemMatrix::substitute`].
     ///
     /// # Errors
     ///
-    /// Returns [`CircuitError::SingularMatrix`] only when the dense
-    /// partial-pivot factorisation itself fails (a genuinely singular
-    /// system: floating node or broken topology).
+    /// Returns [`CircuitError::SingularMatrix`] when the no-pivot LU
+    /// rejects a pivot: a singular system (a floating node or a loop of
+    /// voltage sources) or one too ill-conditioned to factor without
+    /// pivoting. It sets [`SystemMatrix::rejected_pivot`].
     pub fn factor(&mut self) -> Result<(), CircuitError> {
-        if self.fallback.is_none() {
-            match self.sparse.factor() {
-                Err(CircuitError::SingularMatrix { .. }) => {}
-                other => return other,
-            }
-        }
-        // Values are intact after a failed sparse factor.
-        let n = self.dim();
-        let dense = self.fallback.get_or_insert_with(|| DenseMatrix::zeros(n));
-        self.sparse.copy_into(dense);
-        dense.factor()
+        let result = self.sparse.factor();
+        self.rejected_pivot |= result.is_err();
+        result
     }
 
     /// Solves `A·x = b` against the *stored* factors, overwriting `b`.
@@ -306,10 +287,7 @@ impl SystemMatrix {
     ///
     /// Panics if no factorisation is stored.
     pub fn substitute(&mut self, b: &mut [f64]) {
-        match &self.fallback {
-            Some(dense) => dense.substitute(b),
-            None => self.sparse.substitute(b),
-        }
+        self.sparse.substitute(b);
     }
 
     /// Computes `y = A·x` from the current values (not the factors).
@@ -317,15 +295,13 @@ impl SystemMatrix {
         self.sparse.mul_vec_into(x, y);
     }
 
-    /// Factorises and solves `A·x = b` in place (see
-    /// [`SystemMatrix::factor`] for the dense fallback). Values survive;
-    /// the factorisation stays stored.
+    /// Factorises and solves `A·x = b` in place. Values survive; the
+    /// factorisation stays stored.
     ///
     /// # Errors
     ///
-    /// Returns [`CircuitError::SingularMatrix`] only when the dense
-    /// partial-pivot factorisation itself fails (a genuinely singular
-    /// system: floating node or broken topology).
+    /// Returns [`CircuitError::SingularMatrix`] as
+    /// [`SystemMatrix::factor`] does, leaving `b` untouched.
     pub fn solve_in_place(&mut self, b: &mut [f64]) -> Result<(), CircuitError> {
         self.factor()?;
         self.substitute(b);
@@ -336,40 +312,43 @@ impl SystemMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dense::DenseMatrix;
+    use proptest::prelude::*;
 
-    #[test]
-    fn sparse_falls_back_to_dense_on_bad_pivot() {
-        // A permutation matrix defeats no-pivot LU but is trivially
-        // solvable with partial pivoting.
-        let mut m = SystemMatrix::new(2);
-        m.add(0, 1, 1.0);
-        m.add(1, 0, 1.0);
-        let mut x = vec![7.0, 9.0];
-        m.solve_in_place(&mut x).expect("fallback solves");
-        assert!((x[0] - 9.0).abs() < 1e-12);
-        assert!((x[1] - 7.0).abs() < 1e-12);
-        assert_eq!(m.demotions(), 1);
-        // Later factorisations stay on the dense LU and are not recounted.
-        let mut x = vec![1.0, 2.0];
-        m.solve_in_place(&mut x).expect("fallback solves again");
-        assert_eq!(x, vec![2.0, 1.0]);
-        assert_eq!(m.demotions(), 1);
+    /// Solves `m` for `b` and asserts the rejected pivot: a typed error,
+    /// `b` untouched, and the flag set.
+    fn assert_rejects(m: &mut SystemMatrix, b: [f64; 2]) {
+        let mut x = b.to_vec();
+        let err = m.solve_in_place(&mut x).unwrap_err();
+        assert!(matches!(err, CircuitError::SingularMatrix { .. }), "{err}");
+        assert_eq!(x, b, "no solution is returned");
+        assert!(m.rejected_pivot());
+        assert!(!m.is_factored());
     }
 
     #[test]
-    fn sparse_demotes_on_a_pivot_tiny_relative_to_its_row() {
+    fn bad_pivot_is_a_typed_error_counted_once() {
+        // A permutation matrix defeats no-pivot LU: neither index has a
+        // structural diagonal, so the first pivot is zero.
+        let mut m = SystemMatrix::new(2);
+        m.add(0, 1, 1.0);
+        m.add(1, 0, 1.0);
+        assert_rejects(&mut m, [7.0, 9.0]);
+        // A second factorisation rejects again and sets the same flag.
+        assert_rejects(&mut m, [1.0, 2.0]);
+    }
+
+    #[test]
+    fn a_pivot_tiny_relative_to_its_row_is_rejected() {
         // No-pivot LU on this matrix divides by 1e-20 and loses the
-        // answer to cancellation; partial pivoting solves it.
+        // answer to cancellation (it would return [0, 1], not [1, 1]).
         let mut m = SystemMatrix::new(2);
         m.add(0, 0, 1e-20);
         m.add(0, 1, 1.0);
         m.add(1, 0, 1.0);
         m.add(1, 1, 1.0);
-        let mut x = vec![1.0, 2.0];
-        m.solve_in_place(&mut x).expect("fallback solves");
-        assert!((x[0] - 1.0).abs() < 1e-12, "x0 = {}", x[0]);
-        assert!((x[1] - 1.0).abs() < 1e-12, "x1 = {}", x[1]);
-        assert_eq!(m.demotions(), 1);
+        assert_rejects(&mut m, [1.0, 2.0]);
+        assert_rejects(&mut m, [1.0, 2.0]);
     }
 
     #[test]
@@ -449,10 +428,12 @@ mod tests {
         assert_eq!(tape.len(), 2);
     }
 
-    /// The dense fallback swaps only the factoriser: the epoch, the slot
-    /// layout and a tape recorded before the bad pivot all survive it.
+    /// Index 0 is shaped like an MNA branch row: no diagonal, a `1` to
+    /// its node. Ordered after that node, it factors without a rejected
+    /// pivot, and factoring leaves the epoch, the slots and the tape as
+    /// they were.
     #[test]
-    fn fallback_keeps_epoch_slots_and_tapes() {
+    fn branch_shaped_zero_diagonal_factors_and_replays() {
         let stamp = |m: &mut SystemMatrix| {
             m.add(0, 1, 1.0);
             m.add(1, 0, 1.0);
@@ -465,28 +446,23 @@ mod tests {
         assert!(tape.is_valid());
         let epoch = m.epoch();
         let layout = m.values().to_vec();
-        // Zero leading pivot → dense fallback.
         let mut x = vec![7.0, 9.0];
-        m.solve_in_place(&mut x).unwrap();
-        assert_eq!(m.demotions(), 1);
-        assert_eq!(m.epoch(), epoch, "the fallback is not structural");
+        m.solve_in_place(&mut x).expect("sparse LU factors it");
+        assert!(!m.rejected_pivot());
+        assert_eq!(m.epoch(), epoch, "factoring is not structural");
         assert_eq!(m.values(), &layout[..], "same slots, same order");
-        // The pre-fallback tape still replays.
         m.clear();
-        assert!(m.begin_tape(tape), "tape survives the fallback");
+        assert!(m.begin_tape(tape), "the tape still replays");
         stamp(&mut m);
         assert!(m.end_tape().is_valid());
         assert_eq!(m.values(), &layout[..]);
-        // And the solve matches the dense LU stamped directly.
+        // The solve matches the dense reference stamped directly.
         let mut reference = DenseMatrix::zeros(2);
         reference.add(0, 1, 1.0);
         reference.add(1, 0, 1.0);
         reference.add(1, 1, 0.5);
         let mut want = vec![7.0, 9.0];
         reference.solve_in_place(&mut want).unwrap();
-        let mut got = vec![7.0, 9.0];
-        m.solve_in_place(&mut got).unwrap();
-        assert_eq!(got, want);
         assert_eq!(x, want);
     }
 
@@ -521,5 +497,137 @@ mod tests {
         let mut y = vec![0.0, 0.0];
         m.mul_vec_into(&[1.0, 1.0], &mut y);
         assert_eq!(y, vec![1000.0, 1000.0]);
+    }
+
+    /// Largest system the sparse-vs-dense property draws; crosses
+    /// [`SPARSE_THRESHOLD`] (90) on purpose.
+    const MAX_UNKNOWNS: usize = 120;
+
+    /// Stands for ground in [`stamp_random_mna`]; never stamped.
+    const GROUND: usize = usize::MAX;
+
+    /// Stamps a random MNA-like system of `n` unknowns through `m` (one
+    /// `(row, col, value)` add per call) and returns its right-hand side.
+    ///
+    /// The first `n − k` unknowns are free nodes, where `k` is the number
+    /// of `sources` kept (at most `n / 3`). Node `i` hangs off a random
+    /// earlier node or ground through `tree[i]`, so every node sees a
+    /// conductance path to ground; each `extra` entry
+    /// `(kind, a, b, c, log10 g, frac)` adds a conductance, a MOSFET-like
+    /// channel (`g_ds` drain `a` to source `b`, `g_m = frac · g_ds` driven
+    /// by gate `c`) or a current into `a`. Every free node carries a
+    /// `gmin` shunt, as in the analyses. Source `j`, `(u, w, volts)`, is
+    /// an ideal voltage source stamped as MNA branch row `n − k + j`, with
+    /// no diagonal: its plus node is drawn by `u` among the nodes no
+    /// earlier source touches, so the sources form no loop, and its minus
+    /// node by `w` among the other nodes and ground.
+    fn stamp_random_mna(
+        m: &mut dyn FnMut(usize, usize, f64),
+        n: usize,
+        tree: &[(f64, f64)],
+        extra: &[(f64, f64, f64, f64, f64, f64)],
+        sources: &[(f64, f64, f64)],
+    ) -> Vec<f64> {
+        let k = sources.len().min(n / 3);
+        let nodes = n - k;
+        let add = |m: &mut dyn FnMut(usize, usize, f64), r: usize, c: usize, v: f64| {
+            if r != GROUND && c != GROUND {
+                m(r, c, v);
+            }
+        };
+        let conductance = |m: &mut dyn FnMut(usize, usize, f64), a: usize, b: usize, g: f64| {
+            add(m, a, a, g);
+            add(m, b, b, g);
+            add(m, a, b, -g);
+            add(m, b, a, -g);
+        };
+        let node = |u: f64| {
+            let i = (u * (nodes + 1) as f64) as usize;
+            if i < nodes {
+                i
+            } else {
+                GROUND
+            }
+        };
+        for (i, &(u, lg)) in tree.iter().take(nodes).enumerate() {
+            let parent = ((u * (i + 1) as f64) as usize).min(i);
+            let parent = if parent == i { GROUND } else { parent };
+            conductance(m, i, parent, 10f64.powf(lg));
+        }
+        let mut rhs = vec![0.0; n];
+        for &(kind, a, b, c, lg, frac) in extra {
+            let (a, b, c, g) = (node(a), node(b), node(c), 10f64.powf(lg));
+            if kind < 0.4 {
+                conductance(m, a, b, g);
+            } else if kind < 0.8 {
+                let gm = frac * g;
+                conductance(m, a, b, g);
+                add(m, a, c, gm);
+                add(m, a, b, -gm);
+                add(m, b, c, -gm);
+                add(m, b, b, gm);
+            } else if a != GROUND {
+                rhs[a] += 1e3 * g * (frac - 0.5);
+            }
+        }
+        for i in 0..nodes {
+            add(m, i, i, 1e-12);
+        }
+        let mut touched = vec![false; nodes];
+        for (j, &(u, w, volts)) in sources.iter().take(k).enumerate() {
+            // At most 2j < nodes nodes are touched, so one is fresh.
+            let fresh: Vec<usize> = (0..nodes).filter(|&i| !touched[i]).collect();
+            let plus = fresh[((u * fresh.len() as f64) as usize).min(fresh.len() - 1)];
+            let minus = match node(w) {
+                i if i == plus => GROUND,
+                i => i,
+            };
+            let branch = nodes + j;
+            for (t, sign) in [(plus, 1.0), (minus, -1.0)] {
+                add(m, t, branch, sign);
+                add(m, branch, t, sign);
+                if t != GROUND {
+                    touched[t] = true;
+                }
+            }
+            rhs[branch] = volts;
+        }
+        rhs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The sparse no-pivot LU every analysis factors with solves
+        /// random MNA systems on both sides of 90 unknowns, voltage-source
+        /// branch rows included, as the dense partial-pivot LU does,
+        /// without rejecting a pivot.
+        #[test]
+        fn sparse_matches_dense_on_random_mna(
+            n in 1..=MAX_UNKNOWNS,
+            tree in proptest::collection::vec((0.0..1.0f64, -5.0..-3.0f64), MAX_UNKNOWNS),
+            extra in proptest::collection::vec(
+                (0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64, -5.0..-3.0f64, 0.0..1.0f64),
+                0..3 * MAX_UNKNOWNS,
+            ),
+            sources in proptest::collection::vec((0.0..1.0f64, 0.0..1.0f64, -1.0..1.0f64), 0..=4),
+        ) {
+            let mut dense = DenseMatrix::zeros(n);
+            let mut sparse = SystemMatrix::new(n);
+            let mut xd =
+                stamp_random_mna(&mut |r, c, v| dense.add(r, c, v), n, &tree, &extra, &sources);
+            let mut xs =
+                stamp_random_mna(&mut |r, c, v| sparse.add(r, c, v), n, &tree, &extra, &sources);
+            dense.solve_in_place(&mut xd).unwrap();
+            prop_assert!(sparse.solve_in_place(&mut xs).is_ok(), "n = {n}: pivot rejected");
+            prop_assert!(!sparse.rejected_pivot());
+            let scale = xd.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
+            for (i, (s, d)) in xs.iter().zip(&xd).enumerate() {
+                prop_assert!(
+                    (s - d).abs() <= 1e-10 * scale,
+                    "n = {n}, x[{i}]: sparse {s} vs dense {d} (scale {scale})"
+                );
+            }
+        }
     }
 }

@@ -24,22 +24,28 @@
 //!
 //! No-pivot LU is safe here because every free node carries a positive
 //! `gmin` diagonal and device stamps only add non-negative diagonal
-//! conductance. If a pivot nevertheless collapses to below `1e-10` of its
-//! row's largest stamped entry (e.g. exotic branch-source topologies), the
-//! caller falls back to the dense solver; see
-//! [`crate::linalg::SystemMatrix`].
+//! conductance. The only unknowns without a structural diagonal are MNA
+//! branch currents (voltage sources), whose rows hold just the `±1` of
+//! their nodes; the ordering puts them after every node, so by the time a
+//! branch row is eliminated its nodes are, and its diagonal has filled
+//! with `−Σ 1/G` of the conductance seen through them. That is nonzero
+//! unless the sources form a loop. A pivot below `1e-10` of its row's
+//! largest stamped entry is still rejected with
+//! [`CircuitError::SingularMatrix`], which the analyses' recovery
+//! handles; a node row's largest entry is taken over its node columns
+//! only, since its `±1` branch incidences are not conductances.
 
 use std::collections::HashMap;
 
-use super::DenseMatrix;
 use crate::error::CircuitError;
 
 /// Threshold below which a pivot is treated as numerically singular.
 const PIVOT_TOL: f64 = 1e-300;
 
 /// A pivot smaller than this fraction of the largest `|a_ij|` in its row
-/// of the stamped matrix is rejected: eliminating with it would amplify
-/// rounding by more than the factor's precision can absorb.
+/// of the stamped matrix (a node row's node columns only) is rejected:
+/// eliminating with it would amplify rounding by more than the factor's
+/// precision can absorb.
 const PIVOT_REL_TOL: f64 = 1e-10;
 
 /// A sparse square matrix with a reusable no-pivot LU factorisation.
@@ -90,6 +96,10 @@ struct Symbolic {
     /// Prefix offsets of each permuted row into the flat `U` value array
     /// (`len == n + 1`).
     u_off: Vec<u32>,
+    /// Number of indices with a structural diagonal (the nodes). They are
+    /// ordered first, so permuted columns from here on are branch
+    /// unknowns.
+    diag_count: usize,
 }
 
 impl SparseMatrix {
@@ -107,11 +117,6 @@ impl SparseMatrix {
             pb: Vec::new(),
             factored: false,
         }
-    }
-
-    /// Matrix dimension.
-    pub fn dim(&self) -> usize {
-        self.n
     }
 
     /// Zeroes all values, keeping the structure, the symbolic
@@ -173,15 +178,6 @@ impl SparseMatrix {
         self.values[slot as usize] += value;
     }
 
-    /// Overwrites `dense` with the current values (the fallback factoriser
-    /// of [`crate::linalg::SystemMatrix`] reads them this way).
-    pub fn copy_into(&self, dense: &mut DenseMatrix) {
-        dense.clear();
-        for (&(r, c), &v) in self.coords.iter().zip(&self.values) {
-            dense.add(r as usize, c as usize, v);
-        }
-    }
-
     /// Computes `y = A·x` from the stamped values (not the factors).
     ///
     /// # Panics
@@ -206,16 +202,22 @@ impl SparseMatrix {
         // (off-diagonal nonzeros, symmetrised), lowest first. Leaves come
         // first, hubs last — optimal for the star/arrowhead graphs MNA
         // produces and never worse than natural order by more than the
-        // degree tie-breaking.
+        // degree tie-breaking. Indices without a structural diagonal (MNA
+        // branch rows) go after all others, so their nodes are eliminated
+        // first and fill their zero diagonal (see the module docs).
         let mut degree = vec![0u32; n];
+        let mut has_diag = vec![false; n];
         for &(r, c) in &self.coords {
-            if r != c {
+            if r == c {
+                has_diag[r as usize] = true;
+            } else {
                 degree[r as usize] += 1;
                 degree[c as usize] += 1;
             }
         }
         let mut perm: Vec<u32> = (0..n as u32).collect();
-        perm.sort_by_key(|&i| (degree[i as usize], i));
+        perm.sort_by_key(|&i| (!has_diag[i as usize], degree[i as usize], i));
+        let diag_count = has_diag.iter().filter(|&&d| d).count();
         let mut inv = vec![0u32; n];
         for (new, &old) in perm.iter().enumerate() {
             inv[old as usize] = new as u32;
@@ -300,6 +302,7 @@ impl SparseMatrix {
             row_slots,
             l_off,
             u_off,
+            diag_count,
         });
     }
 
@@ -314,9 +317,9 @@ impl SparseMatrix {
     /// # Errors
     ///
     /// Returns [`CircuitError::SingularMatrix`] when a pivot falls below
-    /// the absolute or the row-relative tolerance — the caller should fall
-    /// back to dense partial-pivot LU. A failed factorisation invalidates
-    /// any previously stored factors.
+    /// the absolute or the row-relative tolerance. A failed factorisation
+    /// invalidates any previously stored factors and leaves the values
+    /// intact.
     pub fn factor(&mut self) -> Result<(), CircuitError> {
         self.ensure_symbolic();
         let symbolic = self.symbolic.as_ref().expect("just ensured");
@@ -332,12 +335,22 @@ impl SparseMatrix {
         self.work.resize(n, 0.0);
 
         for i in 0..n {
-            // Scatter A[i, *].
+            // Scatter A[i, *]. A node row's guard scale is its largest
+            // conductance: the `±1` branch incidences it also holds are in
+            // another unit, and would reject a node whose only conductance
+            // is `gmin` although its factors are accurate.
+            let guard_cols = if i < symbolic.diag_count {
+                symbolic.diag_count
+            } else {
+                n
+            };
             let mut row_max: f64 = 0.0;
             for &(c, slot) in &symbolic.row_slots[i] {
                 let v = self.values[slot as usize];
                 self.work[c as usize] += v;
-                row_max = row_max.max(v.abs());
+                if (c as usize) < guard_cols {
+                    row_max = row_max.max(v.abs());
+                }
             }
             // Eliminate against prior rows in ascending pivot order.
             let l_base = symbolic.l_off[i] as usize;
@@ -414,6 +427,7 @@ impl SparseMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::dense::DenseMatrix;
 
     fn solve(m: &mut SparseMatrix, b: &mut [f64]) -> Result<(), CircuitError> {
         m.factor()?;
@@ -539,17 +553,28 @@ mod tests {
     }
 
     #[test]
+    fn node_with_only_gmin_driven_by_a_source_factors() {
+        // A 1 V source (branch index 1) on a node whose only conductance
+        // is a 1e-12 S gmin: the node pivot is 1e-12 beside the `±1`
+        // incidence, which is no conductance and sets no guard scale.
+        let mut m = SparseMatrix::zeros(2);
+        m.add(0, 0, 1e-12);
+        m.add(0, 1, 1.0);
+        m.add(1, 0, 1.0);
+        let mut x = vec![0.0, 1.0];
+        solve(&mut m, &mut x).expect("no rejected pivot");
+        assert!((x[0] - 1.0).abs() < 1e-12, "node voltage {}", x[0]);
+        assert!((x[1] + 1e-12).abs() < 1e-24, "branch current {}", x[1]);
+    }
+
+    #[test]
     fn values_survive_failed_solve() {
         let mut m = SparseMatrix::zeros(2);
         m.add(0, 1, 1.0);
         m.add(1, 0, 1.0);
         let mut x = vec![1.0, 1.0];
-        let _ = solve(&mut m, &mut x);
-        // The dense fallback can still read the original values.
-        let mut dense = DenseMatrix::zeros(2);
-        m.copy_into(&mut dense);
-        assert_eq!(dense.get(0, 1), 1.0);
-        assert_eq!(dense.get(1, 0), 1.0);
+        assert!(solve(&mut m, &mut x).is_err());
+        assert_eq!(m.values(), &[1.0, 1.0], "stamped values untouched");
     }
 
     #[test]
@@ -599,7 +624,9 @@ mod tests {
         let mut y = vec![0.0; 3];
         m.mul_vec_into(&x, &mut y);
         let mut dense = DenseMatrix::zeros(3);
-        m.copy_into(&mut dense);
+        for (&(r, c), &v) in m.coords.iter().zip(m.values()) {
+            dense.add(r as usize, c as usize, v);
+        }
         assert_eq!(y, dense.mul_vec(&x));
     }
 }

@@ -142,11 +142,11 @@ counters! {
     /// Counts how often the transient engine had to escalate past a plain
     /// Newton solve, and which rung of the ladder (gmin escalation → damped
     /// Newton → step halving, see `DESIGN.md` §6) succeeded. Also counts
-    /// dense-LU fallbacks — a linear-solver event, not a ladder rung, but
-    /// operationally the same kind of "the solver had to bail itself out"
-    /// event. All-zero on a healthy run; nonzero counters
-    /// on a run that still produced a result mean the ladder absorbed solver
-    /// trouble.
+    /// analyses whose sparse LU rejected a pivot — a linear-solver event,
+    /// not a ladder rung, but operationally the same kind of "the solver
+    /// had to bail itself out" event. All-zero on a healthy run; nonzero
+    /// counters on a run that still produced a result mean the ladder
+    /// absorbed solver trouble.
     pub struct RecoveryStats, ledger RecoveryLedger {
         /// Retries that converged under an escalated `gmin` shunt.
         gmin_retries,
@@ -157,10 +157,11 @@ counters! {
         nonfinite,
         /// Accepted steps that needed any recovery (ladder retry or halving).
         recovered_steps,
-        /// Analyses whose no-pivot sparse LU hit a bad pivot, at most one
-        /// per analysis: the system matrix then switched factorisation to
-        /// the dense partial-pivot LU of the same values for the rest of
-        /// the analysis; slots, tapes and baselines are untouched.
+        /// Analyses whose no-pivot sparse LU rejected a pivot, at most one
+        /// per analysis (`SystemMatrix::rejected_pivot`). Each rejection
+        /// is a `SingularMatrix` error that the ladder or the DC homotopy
+        /// handles. The name predates the removal of the dense-LU fallback
+        /// and is kept because the benchmark reads it.
         dense_demotions,
     }
 }
@@ -229,7 +230,7 @@ impl SolverPerf {
 
 // Process-wide totals of every analysis since process start. Each
 // analysis adds its counters once, at its exit (error exits included);
-// the dense fallback is added from the analysis's own matrix there, so it
+// a rejected pivot is added from the analysis's own matrix there, so it
 // is counted exactly once.
 pub(crate) static STEPS: StepLedger = StepLedger::new();
 pub(crate) static RECOVERY: RecoveryLedger = RecoveryLedger::new();
@@ -249,7 +250,8 @@ pub fn global_step_stats() -> StepStats {
 
 /// Process-wide cumulative recovery statistics — the [`RecoveryStats`]
 /// counterpart of [`global_step_stats`], with the same snapshot-and-diff
-/// usage. Dense demotions include those of DC operating points.
+/// usage. Rejected pivots (`dense_demotions`) include those of DC
+/// operating points.
 pub fn global_recovery_stats() -> RecoveryStats {
     RECOVERY.snapshot()
 }

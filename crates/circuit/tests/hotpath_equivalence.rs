@@ -164,17 +164,16 @@ proptest! {
     }
 }
 
-/// Resistance of every resistor in [`fallback_netlist`] (ohms).
-const R_FALLBACK: f64 = 1e3;
+/// Resistance of every resistor in [`floating_source_netlist`] (ohms).
+const R_FLOATING: f64 = 1e3;
 
-/// A netlist the no-pivot sparse LU cannot factor: a 0.2 V source between
-/// the free nodes `a` and `b`, each with three free neighbours
-/// (`vdd → cᵢ → a` and `b → dᵢ → gnd`), plus `a → gnd`, `vdd → b`, and a
-/// capacitor and a diode on `a`. The degree ordering puts the source's
-/// branch row, whose diagonal is zero, ahead of both its nodes, so the
-/// first pivot of that row is zero and the analysis falls back to the
-/// dense LU. The rail steps from 0.5 V to 1 V at 50 ps.
-fn fallback_netlist() -> (Circuit, Diode) {
+/// A 0.2 V source between the free nodes `a` and `b`, each with three
+/// free neighbours (`vdd → cᵢ → a` and `b → dᵢ → gnd`), plus `a → gnd`,
+/// `vdd → b`, and a capacitor and a diode on `a`. By degree alone the
+/// source's branch row, whose diagonal is zero, would be eliminated ahead
+/// of both its nodes and meet a zero pivot; the sparse LU orders it after
+/// them. The rail steps from 0.5 V to 1 V at 50 ps.
+fn floating_source_netlist() -> (Circuit, Diode) {
     let mut ckt = Circuit::new();
     let gnd = ckt.ground();
     let vdd = ckt.node("vdd");
@@ -184,14 +183,14 @@ fn fallback_netlist() -> (Circuit, Diode) {
     let b = ckt.node("b");
     for i in 0..3 {
         let c = ckt.node(&format!("c{i}"));
-        ckt.add(Resistor::new(vdd, c, R_FALLBACK));
-        ckt.add(Resistor::new(c, a, R_FALLBACK));
+        ckt.add(Resistor::new(vdd, c, R_FLOATING));
+        ckt.add(Resistor::new(c, a, R_FLOATING));
         let d = ckt.node(&format!("d{i}"));
-        ckt.add(Resistor::new(b, d, R_FALLBACK));
-        ckt.add(Resistor::new(d, gnd, R_FALLBACK));
+        ckt.add(Resistor::new(b, d, R_FLOATING));
+        ckt.add(Resistor::new(d, gnd, R_FLOATING));
     }
-    ckt.add(Resistor::new(a, gnd, R_FALLBACK));
-    ckt.add(Resistor::new(vdd, b, R_FALLBACK));
+    ckt.add(Resistor::new(a, gnd, R_FLOATING));
+    ckt.add(Resistor::new(vdd, b, R_FLOATING));
     ckt.add(Capacitor::new(a, gnd, 10e-15));
     let diode = Diode::new(a, gnd, 1e-15);
     ckt.add(diode.clone());
@@ -199,12 +198,12 @@ fn fallback_netlist() -> (Circuit, Diode) {
     (ckt, diode)
 }
 
-/// Worst KCL residual (amps) of a settled [`fallback_netlist`] solution
+/// Worst KCL residual (amps) of a settled [`floating_source_netlist`] solution
 /// `v` at rail voltage `vdd`: every `cᵢ` and `dᵢ` and the `{a, b}`
 /// supernode. Settled, the capacitor carries no current; the `gmin`
 /// shunts are far below the tolerance.
-fn fallback_kcl(v: impl Fn(&str) -> f64, vdd: f64, diode: &Diode) -> f64 {
-    let i = |from: f64, to: f64| (from - to) / R_FALLBACK;
+fn floating_source_kcl(v: impl Fn(&str) -> f64, vdd: f64, diode: &Diode) -> f64 {
+    let i = |from: f64, to: f64| (from - to) / R_FLOATING;
     let (va, vb) = (v("a"), v("b"));
     let mut supernode = i(vdd, vb) - i(va, 0.0) - diode.current_and_conductance(va).0;
     let mut worst: f64 = 0.0;
@@ -217,29 +216,28 @@ fn fallback_kcl(v: impl Fn(&str) -> f64, vdd: f64, diode: &Diode) -> f64 {
     worst.max(supernode.abs())
 }
 
-/// The dense fallback swaps only the factoriser: on a real netlist that
-/// falls back, DC and transient still satisfy KCL, the run counts one
-/// demotion, the hot path keeps replaying tapes and reusing baselines on
-/// the dense factors, and the traces match the legacy loop.
+/// A voltage source between two free nodes solves on the sparse LU: DC
+/// and transient satisfy KCL with no rejected pivot, the hot path replays
+/// tapes and reuses baselines, and the traces match the legacy loop.
 #[test]
-fn hot_path_runs_on_the_dense_fallback() {
-    let (mut ckt, diode) = fallback_netlist();
+fn floating_voltage_source_runs_on_the_sparse_lu() {
+    let (mut ckt, diode) = floating_source_netlist();
     let dc = DcOperatingPoint::new().run(&mut ckt).expect("dc solves");
     let v = |node: &str| dc.voltage(node).expect("node exists");
     assert!((v("a") - v("b") - 0.2).abs() < 1e-9, "dc source voltage");
-    let residual = fallback_kcl(v, 0.5, &diode);
+    let residual = floating_source_kcl(v, 0.5, &diode);
     assert!(residual < 1e-9, "dc KCL residual {residual:e} A");
 
     let run = |hot_path: HotPath| {
-        let (mut ckt, _) = fallback_netlist();
+        let (mut ckt, _) = floating_source_netlist();
         let opts = TransientOpts::new(10e-12, 1e-9)
             .with_newton(NewtonSettings::new().with_hot_path(hot_path));
         Transient::new(opts).run(&mut ckt).expect("transient runs")
     };
     let hot = run(HotPath::default());
     let legacy = run(HotPath::legacy());
-    assert_eq!(hot.recovery_stats().dense_demotions, 1);
-    assert_eq!(legacy.recovery_stats().dense_demotions, 1);
+    assert_eq!(hot.recovery_stats().dense_demotions, 0);
+    assert_eq!(legacy.recovery_stats().dense_demotions, 0);
     let perf = hot.solver_perf();
     assert!(perf.tape_replays > 0, "tapes must replay: {perf:?}");
     assert_eq!(perf.tape_mismatches, 0, "pattern is stable: {perf:?}");
@@ -250,7 +248,7 @@ fn hot_path_runs_on_the_dense_fallback() {
 
     let last = |node: &str| hot.trace(node).expect("trace recorded").last_value();
     assert!((last("a") - last("b") - 0.2).abs() < 1e-9, "source voltage");
-    let residual = fallback_kcl(last, 1.0, &diode);
+    let residual = floating_source_kcl(last, 1.0, &diode);
     assert!(residual < 1e-9, "settled KCL residual {residual:e} A");
     for node in ["a", "b", "c0", "d0"] {
         let h = hot.trace(node).expect("trace recorded").values();

@@ -2,68 +2,9 @@
 
 use ftcam_circuit::analysis::{DcOperatingPoint, Transient, TransientOpts};
 use ftcam_circuit::elements::{Capacitor, Resistor};
-use ftcam_circuit::linalg::{DenseMatrix, SystemMatrix};
 use ftcam_circuit::waveform::Waveform;
 use ftcam_circuit::Circuit;
 use proptest::prelude::*;
-
-/// Largest system the sparse-vs-dense property draws; crosses
-/// `linalg::SPARSE_THRESHOLD` (90) on purpose.
-const MAX_UNKNOWNS: usize = 120;
-
-/// Stamps a random MNA-like system on `n` free nodes through `m` (one
-/// `(row, col, value)` add per call) and returns
-/// its right-hand side. Index `n` is ground and is never stamped. Node `i`
-/// hangs off a random earlier node or ground through `tree[i]`, so every
-/// node sees a conductance path to ground; each `extra` entry
-/// `(kind, a, b, c, log10 g, frac)` adds a conductance, a MOSFET-like
-/// channel (`g_ds` drain `a` to source `b`, `g_m = frac · g_ds` driven by
-/// gate `c`) or a current into `a`. Every free node carries a `gmin`
-/// shunt, as in the analyses.
-fn stamp_random_mna(
-    m: &mut dyn FnMut(usize, usize, f64),
-    n: usize,
-    tree: &[(f64, f64)],
-    extra: &[(f64, f64, f64, f64, f64, f64)],
-) -> Vec<f64> {
-    let add = |m: &mut dyn FnMut(usize, usize, f64), r: usize, c: usize, v: f64| {
-        if r < n && c < n {
-            m(r, c, v);
-        }
-    };
-    let conductance = |m: &mut dyn FnMut(usize, usize, f64), a: usize, b: usize, g: f64| {
-        add(m, a, a, g);
-        add(m, b, b, g);
-        add(m, a, b, -g);
-        add(m, b, a, -g);
-    };
-    let node = |u: f64| ((u * (n + 1) as f64) as usize).min(n);
-    for (i, &(u, lg)) in tree.iter().take(n).enumerate() {
-        let parent = ((u * (i + 1) as f64) as usize).min(i);
-        let parent = if parent == i { n } else { parent };
-        conductance(m, i, parent, 10f64.powf(lg));
-    }
-    let mut rhs = vec![0.0; n];
-    for &(kind, a, b, c, lg, frac) in extra {
-        let (a, b, c, g) = (node(a), node(b), node(c), 10f64.powf(lg));
-        if kind < 0.4 {
-            conductance(m, a, b, g);
-        } else if kind < 0.8 {
-            let gm = frac * g;
-            conductance(m, a, b, g);
-            add(m, a, c, gm);
-            add(m, a, b, -gm);
-            add(m, b, c, -gm);
-            add(m, b, b, gm);
-        } else if a < n {
-            rhs[a] += 1e3 * g * (frac - 0.5);
-        }
-    }
-    for i in 0..n {
-        add(m, i, i, 1e-12);
-    }
-    rhs
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
@@ -167,38 +108,6 @@ proptest! {
         let w = Waveform::pulse(0.0, 1.0, delay, 10e-12, 10e-12, width);
         for bp in w.breakpoints(t_stop) {
             prop_assert!(bp > 0.0 && bp < t_stop);
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-    /// The sparse no-pivot LU every analysis factors with solves random MNA
-    /// systems on both sides of 90 unknowns as the dense partial-pivot LU
-    /// does, without demoting.
-    #[test]
-    fn sparse_matches_dense_on_random_mna(
-        n in 1..=MAX_UNKNOWNS,
-        tree in proptest::collection::vec((0.0..1.0f64, -5.0..-3.0f64), MAX_UNKNOWNS),
-        extra in proptest::collection::vec(
-            (0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64, -5.0..-3.0f64, 0.0..1.0f64),
-            0..3 * MAX_UNKNOWNS,
-        ),
-    ) {
-        let mut dense = DenseMatrix::zeros(n);
-        let mut sparse = SystemMatrix::new(n);
-        let mut xd = stamp_random_mna(&mut |r, c, v| dense.add(r, c, v), n, &tree, &extra);
-        let mut xs = stamp_random_mna(&mut |r, c, v| sparse.add(r, c, v), n, &tree, &extra);
-        dense.solve_in_place(&mut xd).unwrap();
-        sparse.solve_in_place(&mut xs).unwrap();
-        prop_assert_eq!(sparse.demotions(), 0);
-        let scale = xd.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
-        for (i, (s, d)) in xs.iter().zip(&xd).enumerate() {
-            prop_assert!(
-                (s - d).abs() <= 1e-10 * scale,
-                "n = {n}, x[{i}]: sparse {s} vs dense {d} (scale {scale})"
-            );
         }
     }
 }

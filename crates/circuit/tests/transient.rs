@@ -5,7 +5,7 @@ use ftcam_circuit::elements::{
     Capacitor, CurrentSource, Diode, Resistor, TimedSwitch, VoltageSource,
 };
 use ftcam_circuit::waveform::Waveform;
-use ftcam_circuit::{Circuit, Edge, IntegrationMethod};
+use ftcam_circuit::{Circuit, CircuitError, Edge, IntegrationMethod};
 
 /// RC discharge from 1 V through 1 kΩ, τ = 1 ns, checked against e^(−t/τ).
 #[test]
@@ -303,6 +303,86 @@ fn invalid_options_rejected() {
     assert!(err.is_err());
     let err = Transient::new(TransientOpts::new(1e-12, 0.0)).run(&mut ckt);
     assert!(err.is_err());
+}
+
+/// Two DC sources of different values in parallel on one node form a
+/// source loop: no voltage satisfies both, and the matrix is singular.
+/// DC and transient each report it as a typed error.
+#[test]
+fn source_loop_is_a_singular_matrix_error() {
+    let source_loop = || {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        ckt.add(Resistor::new(a, ckt.ground(), 1e3));
+        ckt.add(VoltageSource::dc(a, ckt.ground(), 1.0));
+        ckt.add(VoltageSource::dc(a, ckt.ground(), 2.0));
+        ckt
+    };
+    let dc = DcOperatingPoint::new().run(&mut source_loop());
+    assert!(
+        matches!(dc, Err(CircuitError::SingularMatrix { .. })),
+        "dc: {dc:?}"
+    );
+    let tran = Transient::new(TransientOpts::new(1e-12, 1e-10)).run(&mut source_loop());
+    assert!(
+        matches!(tran, Err(CircuitError::SingularMatrix { .. })),
+        "transient: {:?}",
+        tran.err()
+    );
+}
+
+/// A source whose node has no conductance but `gmin`: a 1 V source
+/// driving only a 1 fF capacitor solves in DC and, from that operating
+/// point, in transient, with no rejected pivot.
+#[test]
+fn source_driving_only_a_capacitor_solves() {
+    let netlist = || {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        ckt.add(VoltageSource::dc(a, ckt.ground(), 1.0));
+        ckt.add(Capacitor::new(a, ckt.ground(), 1e-15));
+        ckt
+    };
+    let dc = DcOperatingPoint::new()
+        .run(&mut netlist())
+        .expect("dc solves");
+    let va = dc.voltage("a").unwrap();
+    assert!((va - 1.0).abs() < 1e-9, "dc V(a) = {va}");
+    let tran = Transient::new(TransientOpts::new(1e-12, 1e-10))
+        .run(&mut netlist())
+        .expect("transient runs");
+    assert_eq!(tran.recovery_stats().dense_demotions, 0);
+    for &v in tran.trace("a").unwrap().values() {
+        assert!((v - 1.0).abs() < 1e-9, "transient V(a) = {v}");
+    }
+}
+
+/// A 1 V source into a 1 TΩ / 1 TΩ divider, where every conductance is
+/// `gmin`-sized: the mid node reads 1/3 V (the divider plus the `gmin`
+/// shunt on it) in DC and in transient, with no rejected pivot.
+#[test]
+fn source_into_a_teraohm_divider_solves() {
+    let netlist = || {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let mid = ckt.node("mid");
+        ckt.add(VoltageSource::dc(a, ckt.ground(), 1.0));
+        ckt.add(Resistor::new(a, mid, 1e12));
+        ckt.add(Resistor::new(mid, ckt.ground(), 1e12));
+        ckt
+    };
+    let dc = DcOperatingPoint::new()
+        .run(&mut netlist())
+        .expect("dc solves");
+    let (va, vmid) = (dc.voltage("a").unwrap(), dc.voltage("mid").unwrap());
+    assert!((va - 1.0).abs() < 1e-9, "dc V(a) = {va}");
+    assert!((vmid - 1.0 / 3.0).abs() < 1e-6, "dc V(mid) = {vmid}");
+    let tran = Transient::new(TransientOpts::new(1e-12, 1e-10))
+        .run(&mut netlist())
+        .expect("transient runs");
+    assert_eq!(tran.recovery_stats().dense_demotions, 0);
+    let last = tran.trace("mid").unwrap().last_value();
+    assert!((last - 1.0 / 3.0).abs() < 1e-6, "transient V(mid) = {last}");
 }
 
 /// Energy is measured per time window (precharge vs evaluate phases).

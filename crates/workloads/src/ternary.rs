@@ -130,17 +130,18 @@ impl TernaryWord {
     }
 
     /// Builds a definite (0/1) word from the low `width` bits of `value`,
-    /// most significant bit first.
+    /// most significant bit first. Digits above bit 63 are 0.
     pub fn from_bits(value: u64, width: usize) -> Self {
         let digits = (0..width)
             .rev()
-            .map(|i| Ternary::from_bit(value >> i & 1 == 1))
+            .map(|i| Ternary::from_bit(bit(value, i)))
             .collect();
         Self { digits }
     }
 
-    /// An IPv4-style prefix: the top `prefix_len` bits of `value` followed by
-    /// wildcards, total `width` digits.
+    /// An IPv4-style prefix: the top `prefix_len` of the low `width` bits
+    /// of `value` followed by wildcards, total `width` digits. Digits above
+    /// bit 63 are 0.
     ///
     /// # Panics
     ///
@@ -149,8 +150,7 @@ impl TernaryWord {
         assert!(prefix_len <= width, "prefix length exceeds width");
         let mut digits = Vec::with_capacity(width);
         for i in 0..prefix_len {
-            let bit = value >> (width - 1 - i) & 1 == 1;
-            digits.push(Ternary::from_bit(bit));
+            digits.push(Ternary::from_bit(bit(value, width - 1 - i)));
         }
         digits.resize(width, Ternary::X);
         Self { digits }
@@ -309,6 +309,14 @@ impl<'a> IntoIterator for &'a TernaryWord {
     }
 }
 
+/// Bit `k` of `value`; bits above 63 read 0.
+fn bit(value: u64, k: usize) -> bool {
+    u32::try_from(k)
+        .ok()
+        .and_then(|k| value.checked_shr(k))
+        .is_some_and(|v| v & 1 == 1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,6 +350,20 @@ mod tests {
         assert_eq!(w.to_string(), "1010");
         let w = TernaryWord::from_bits(1, 4);
         assert_eq!(w.to_string(), "0001");
+    }
+
+    #[test]
+    fn words_wider_than_64_bits_read_zeros_above_bit_63() {
+        for width in [70, 130] {
+            let high = "0".repeat(width - 64);
+            let ones = TernaryWord::from_bits(u64::MAX, width);
+            assert_eq!(ones.to_string(), format!("{high}{}", "1".repeat(64)));
+            let low = TernaryWord::from_bits(0b101, width);
+            assert_eq!(low.to_string(), format!("{}101", "0".repeat(width - 3)));
+            let prefix = TernaryWord::prefix(u64::MAX, width - 62, width);
+            assert_eq!(prefix.to_string(), format!("{high}11{}", "X".repeat(62)));
+            assert!(prefix.matches(&ones));
+        }
     }
 
     #[test]
