@@ -307,7 +307,8 @@ const RECOVERY_DAMPING_FACTOR: f64 = 0.1;
 /// `SingularMatrix` is included because the escalated-`gmin` rung
 /// regularises transiently singular Jacobians (e.g. a node left floating
 /// while every transistor on it is cut off); structural singularities
-/// survive the whole ladder and still surface as an error.
+/// survive the ladder and surface as an error at once, without halving
+/// the step.
 fn recoverable(e: &CircuitError) -> bool {
     matches!(
         e,
@@ -454,6 +455,8 @@ impl Transient {
     ///
     /// * [`CircuitError::NewtonDiverged`] / [`CircuitError::SingularMatrix`]
     ///   if the initial state cannot be solved.
+    /// * [`CircuitError::SingularMatrix`] if a step's matrix stays
+    ///   singular through the recovery ladder.
     /// * [`CircuitError::StepSizeUnderflow`] if step halving reaches
     ///   the step floor (`base dt × 1e-6`, or the adaptive `dt_min`)
     ///   without convergence.
@@ -692,6 +695,10 @@ impl Transient {
                         }
                         break;
                     }
+                    // The ladder's escalated-gmin rung already put a
+                    // shunt on every node; a singularity that survives it
+                    // is structural, and no smaller step can cure it.
+                    Err(e @ CircuitError::SingularMatrix { .. }) => return Err(e),
                     Err(e) if recoverable(&e) => {
                         stats.halvings += 1;
                         step_recovered = true;

@@ -307,7 +307,8 @@ fn invalid_options_rejected() {
 
 /// Two DC sources of different values in parallel on one node form a
 /// source loop: no voltage satisfies both, and the matrix is singular.
-/// DC and transient each report it as a typed error.
+/// DC and transient, with or without the DC start, each report it as a
+/// typed error.
 #[test]
 fn source_loop_is_a_singular_matrix_error() {
     let source_loop = || {
@@ -327,6 +328,15 @@ fn source_loop_is_a_singular_matrix_error() {
     assert!(
         matches!(tran, Err(CircuitError::SingularMatrix { .. })),
         "transient: {:?}",
+        tran.err()
+    );
+    // Without the DC start the singularity first shows in a step, and the
+    // step must not be halved down to an underflow.
+    let tran = Transient::new(TransientOpts::new(1e-12, 1e-10).use_initial_conditions())
+        .run(&mut source_loop());
+    assert!(
+        matches!(tran, Err(CircuitError::SingularMatrix { .. })),
+        "transient from initial conditions: {:?}",
         tran.err()
     );
 }

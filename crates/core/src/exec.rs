@@ -3,8 +3,9 @@
 //! Every experiment driver decomposes its sweep into independent jobs —
 //! one per `(design, width, point)` tuple, per Monte-Carlo sample, or
 //! similar — and hands them to an [`Executor`], which fans them out over a
-//! `std::thread::scope` work queue and reassembles the results **in item
-//! order**. It is the workspace's only parallel runtime. Because each
+//! `std::thread::scope` work queue shared by the calling thread and the
+//! threads it spawns, and reassembles the results **in item order**. It
+//! is the workspace's only parallel runtime. Because each
 //! job is a pure function of its input and assembly order is fixed,
 //! artifacts are bit-identical regardless of the thread count; only the
 //! wall-clock changes.
@@ -110,8 +111,10 @@ pub struct ExecStats {
 /// Fans independent jobs out over scoped worker threads and reassembles
 /// results in deterministic item order.
 ///
-/// With `threads <= 1` (or a single item) jobs run inline on the calling
-/// thread — the serial path the invariance tests compare against.
+/// The calling thread always runs jobs too, so a sweep spawns one thread
+/// fewer than it has workers. With `threads <= 1` (or a single item) no
+/// thread is spawned and jobs run inline on the calling thread — the
+/// serial path the invariance tests compare against.
 #[derive(Debug, Clone)]
 pub struct Executor {
     threads: usize,
@@ -167,8 +170,9 @@ impl Executor {
     /// `Result` vector in item order — the partial-results primitive: one
     /// failing or even panicking item never costs the others.
     ///
-    /// Work is distributed over `min(threads, items.len())` scoped threads
-    /// via an atomic claim counter; each result lands in a per-item slot,
+    /// Work is distributed over `min(threads, items.len())` workers, the
+    /// calling thread and the scoped threads it spawns for the rest, via an
+    /// atomic claim counter; each result lands in a per-item slot,
     /// so assembly order — and therefore the output — is independent of
     /// which thread ran which job. Every job runs even if an earlier one
     /// failed (no early cancellation), keeping cache warm-up deterministic.
@@ -201,27 +205,21 @@ impl Executor {
         let workers = self.threads.clamp(1, n);
         let slots: Vec<OnceLock<Result<R, ItemError<E>>>> =
             (0..n).map(|_| OnceLock::new()).collect();
-        if workers == 1 {
-            for (i, item) in items.iter().enumerate() {
-                let filled = slots[i].set(run_one(i, item)).is_ok();
-                debug_assert!(filled, "slot {i} filled twice");
+        let next = AtomicUsize::new(0);
+        let claim_loop = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
             }
-        } else {
-            let next = AtomicUsize::new(0);
-            let (next, slots_ref, run_ref) = (&next, &slots, &run_one);
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let filled = slots_ref[i].set(run_ref(i, &items[i])).is_ok();
-                        debug_assert!(filled, "slot {i} filled twice");
-                    });
-                }
-            });
-        }
+            let filled = slots[i].set(run_one(i, &items[i])).is_ok();
+            debug_assert!(filled, "slot {i} filled twice");
+        };
+        std::thread::scope(|s| {
+            for _ in 1..workers {
+                s.spawn(claim_loop);
+            }
+            claim_loop();
+        });
         let run_nanos = started.elapsed().as_nanos() as u64;
 
         let assemble_started = Instant::now();

@@ -2,10 +2,12 @@
 //!
 //! A ternary query of `W` digits packs into two compact bitmasks, 64 digits
 //! to a word: `care` (digit is definite) and `pattern` (digit is `1`). The
-//! column kernels walk the definite digits with [`PackedQuery::definite_from`],
-//! which turns each compact pattern bit into the all-zeros or all-ones mask
-//! the 64-row plane logic consumes, so the inner match loop is pure `u64`
-//! logic with no per-digit branching and skips `X` columns outright.
+//! first word sits inline, so a query of up to 64 digits packs without a
+//! heap allocation. The column kernels walk the definite digits with
+//! [`PackedQuery::definite_from`], which turns each compact pattern bit
+//! into the all-zeros or all-ones mask the 64-row plane logic consumes, so
+//! the inner match loop is pure `u64` logic with no per-digit branching
+//! and skips `X` columns outright.
 
 use ftcam_workloads::{Ternary, TernaryWord};
 
@@ -16,31 +18,45 @@ use ftcam_workloads::{Ternary, TernaryWord};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedQuery {
     width: usize,
-    /// Compact `[care, pattern]` mask words: `care` has a bit set where the
-    /// digit is definite (not `X`), `pattern` where it is `1` (a subset of
-    /// `care`).
-    masks: Vec<[u64; 2]>,
+    /// Compact `[care, pattern]` masks of digits `0..64`: `care` has a bit
+    /// set where the digit is definite (not `X`), `pattern` where it is `1`
+    /// (a subset of `care`).
+    head: [u64; 2],
+    /// The same masks for digits `64..`, one word per 64 digits; empty,
+    /// and never allocated, for widths up to 64.
+    tail: Vec<[u64; 2]>,
 }
 
 impl PackedQuery {
     /// Packs a ternary word.
     pub fn from_word(word: &TernaryWord) -> Self {
-        let masks = word
-            .digits()
-            .chunks(64)
-            .map(|chunk| {
-                chunk.iter().enumerate().fold([0u64; 2], |[c, p], (b, &d)| {
-                    [
-                        c | (u64::from(d != Ternary::X) << b),
-                        p | (u64::from(d == Ternary::One) << b),
-                    ]
-                })
-            })
-            .collect();
+        let digits = word.digits();
+        let (head, rest) = digits.split_at(digits.len().min(64));
         Self {
             width: word.width(),
-            masks,
+            head: pack_chunk(head),
+            tail: rest.chunks(64).map(pack_chunk).collect(),
         }
+    }
+
+    /// The `[care, pattern]` mask words, first digit word first.
+    fn words(&self) -> impl Iterator<Item = &[u64; 2]> {
+        std::iter::once(&self.head).chain(&self.tail)
+    }
+
+    /// Mask word `w` (digits `64 * w..`), if the width reaches it.
+    #[inline]
+    fn word(&self, w: usize) -> Option<[u64; 2]> {
+        match w {
+            0 => Some(self.head),
+            w => self.tail.get(w - 1).copied(),
+        }
+    }
+
+    /// The `[care, pattern]` mask word holding column `col`.
+    #[inline]
+    fn word_of(&self, col: usize) -> [u64; 2] {
+        self.word(col / 64).expect("column within the query width")
     }
 
     /// Query width in digits.
@@ -50,21 +66,21 @@ impl PackedQuery {
 
     /// Number of definite (non-`X`) digits.
     pub fn definite_count(&self) -> u32 {
-        self.masks.iter().map(|[c, _]| c.count_ones()).sum()
+        self.words().map(|[c, _]| c.count_ones()).sum()
     }
 
     /// Broadcast care mask for column `col`: `!0` if the digit is definite,
     /// `0` for an `X`.
     #[inline]
     pub fn care_mask(&self, col: usize) -> u64 {
-        broadcast(self.masks[col / 64][0], col % 64)
+        broadcast(self.word_of(col)[0], col % 64)
     }
 
     /// Broadcast pattern mask for column `col`: `!0` for a definite `1`,
     /// `0` otherwise.
     #[inline]
     pub fn pattern_mask(&self, col: usize) -> u64 {
-        broadcast(self.masks[col / 64][1], col % 64)
+        broadcast(self.word_of(col)[1], col % 64)
     }
 
     /// The definite columns from column `from` on, ascending, each with its
@@ -72,14 +88,12 @@ impl PackedQuery {
     #[inline]
     pub(crate) fn definite_from(&self, from: usize) -> DefiniteColumns<'_> {
         let word = from / 64;
-        let bits = self
-            .masks
-            .get(word)
-            .map_or(0, |[c, _]| c & (!0u64 << (from % 64)));
+        let [care, pattern] = self.word(word).unwrap_or_default();
         DefiniteColumns {
-            masks: &self.masks,
+            tail: &self.tail,
             word,
-            bits,
+            bits: care & (!0u64 << (from % 64)),
+            pattern,
         }
     }
 
@@ -93,9 +107,8 @@ impl PackedQuery {
             return self.definite_count();
         };
         debug_assert_eq!(self.width, prev.width);
-        self.masks
-            .iter()
-            .zip(&prev.masks)
+        self.words()
+            .zip(prev.words())
             .map(|(&[care, pattern], &[prev_care, prev_pattern])| {
                 // SL is driven high on a definite 1, SLB on a definite 0.
                 let sl = (care & pattern) ^ (prev_care & prev_pattern);
@@ -114,10 +127,43 @@ impl PackedQuery {
             return Some(0);
         }
         let low = !0u64 >> (64 - k);
-        let [care, pattern] = self.masks[0];
+        let [care, pattern] = self.head;
         // Digit 0 sits in bit 0, so the key is the low `k` bits reversed.
         (care & low == low).then(|| ((pattern & low).reverse_bits() >> (64 - k)) as usize)
     }
+}
+
+/// The compact `[care, pattern]` masks of up to 64 digits, digit `b` in
+/// bit `b`. Eight digits at a time: their discriminants, one byte each,
+/// load as one `u64` (a short last octet is padded with `X`), and a
+/// multiply gathers one bit of each byte into eight adjacent bits.
+fn pack_chunk(digits: &[Ternary]) -> [u64; 2] {
+    let octets = digits.chunks_exact(8);
+    let rest = octets.remainder();
+    let mut last = [Ternary::X; 8];
+    last[..rest.len()].copy_from_slice(rest);
+    let last = (!rest.is_empty()).then_some(&last);
+    let full = octets.map(|o| <&[Ternary; 8]>::try_from(o).expect("eight digits"));
+    let (mut care, mut pattern) = (0u64, 0u64);
+    for (i, octet) in full.chain(last).enumerate() {
+        let bytes = u64::from_le_bytes(octet.map(|d| d as u8));
+        // `X` is the only digit with bit 1 set, `One` the only one with
+        // bit 0 set.
+        care |= gather_low_bits(!(bytes >> 1)) << (8 * i);
+        pattern |= gather_low_bits(bytes) << (8 * i);
+    }
+    [care, pattern]
+}
+
+// `pack_chunk` reads the digits by discriminant.
+const _: () = assert!(Ternary::Zero as u8 == 0 && Ternary::One as u8 == 1 && Ternary::X as u8 == 2);
+
+/// Bit 0 of byte `i` of `bytes`, moved to bit `i` of the result.
+#[inline]
+fn gather_low_bits(bytes: u64) -> u64 {
+    // Byte `i`'s bit lands at bit `56 + i`; the other partial products
+    // stay below bit 56 or overflow, and none of them overlap.
+    ((bytes & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080)) >> 56
 }
 
 /// `!0` if bit `bit` of `word` is set, else `0`.
@@ -130,11 +176,15 @@ fn broadcast(word: u64, bit: usize) -> u64 {
 /// mask)` in ascending column order. See [`PackedQuery::definite_from`].
 #[derive(Debug, Clone)]
 pub(crate) struct DefiniteColumns<'a> {
-    masks: &'a [[u64; 2]],
-    /// Mask word holding the columns `bits` still lists.
+    /// The query's mask words past the first.
+    tail: &'a [[u64; 2]],
+    /// Mask word holding the columns `bits` still lists; `tail[word]` is
+    /// the next one.
     word: usize,
     /// Care bits of `word` not yet yielded.
     bits: u64,
+    /// Pattern bits of `word`.
+    pattern: u64,
 }
 
 impl Iterator for DefiniteColumns<'_> {
@@ -143,13 +193,12 @@ impl Iterator for DefiniteColumns<'_> {
     #[inline]
     fn next(&mut self) -> Option<(usize, u64)> {
         while self.bits == 0 {
+            [self.bits, self.pattern] = *self.tail.get(self.word)?;
             self.word += 1;
-            self.bits = self.masks.get(self.word)?[0];
         }
         let bit = self.bits.trailing_zeros() as usize;
         self.bits &= self.bits - 1;
-        let pattern = broadcast(self.masks[self.word][1], bit);
-        Some((self.word * 64 + bit, pattern))
+        Some((self.word * 64 + bit, broadcast(self.pattern, bit)))
     }
 }
 

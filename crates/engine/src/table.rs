@@ -19,6 +19,15 @@
 //! termination of a real match-line: most rows die within a few digits.
 //! A scan may start past column 0 when the caller knows every row matches
 //! the columns before it (a prefix-index bucket).
+//!
+//! Metered queries need every row's mismatch count, not just a match
+//! mask. The same miss masks feed a bit-sliced counter per block: a tree
+//! of carry-save adders sums eight columns at a time into the ones, twos
+//! and fours planes and carries the eights into the planes above. The
+//! histogram transposes the low eight planes into one count byte per row
+//! through a 256-entry bit-spreading table and increments interleaved
+//! sub-histograms; the nearest-Hamming query splits the row mask on the
+//! planes, lowest count first.
 
 use ftcam_workloads::{TcamTable, Ternary};
 
@@ -191,44 +200,84 @@ impl BitPlaneTable {
         best.map(|(wc, gid)| (gid, wc))
     }
 
-    /// Per-row mismatch counts for one block via bit-sliced (vertical)
-    /// ripple-carry counters: `counters[i]` holds bit `i` of each row's
-    /// count, so adding a column's miss mask is 64 row-increments at once.
-    #[inline]
-    fn count_block(&self, q: &PackedQuery, blk: usize, counters: &mut [u64]) {
-        counters.fill(0);
-        let base = blk * self.width;
-        for (col, qp) in q.definite_from(0) {
-            let mut carry = self.care[base + col] & (self.pattern[base + col] ^ qp);
-            for c in counters.iter_mut() {
-                let sum = *c ^ carry;
-                carry &= *c;
-                *c = sum;
-                if carry == 0 {
-                    break;
-                }
-            }
-        }
-    }
-
     /// Number of counter planes that hold up to `width` mismatches.
     #[inline]
     fn counter_planes(&self) -> usize {
         (usize::BITS - self.width.leading_zeros()) as usize
     }
 
+    /// Per-row mismatch counts of block `blk` over the definite query
+    /// columns `cols`, bit-sliced (vertical): bit `r` of `planes[i]` is bit
+    /// `i` of row `r`'s count, so one column's miss mask is 64 row
+    /// increments at once. Eight columns at a time go through a tree of
+    /// seven carry-save adders into the ones, twos and fours planes, and
+    /// only the tree's eights carry ripples into the planes above; the
+    /// last `cols.len() % 8` columns ripple in one by one. Planes from
+    /// `max(counter_planes, 3)` up are not written, so they stay zero.
+    #[inline]
+    fn count_block(&self, cols: &[(usize, u64)], blk: usize, planes: &mut [u64; MAX_PLANES]) {
+        let used = self.counter_planes().max(3);
+        let base = blk * self.width;
+        let care = &self.care[base..base + self.width];
+        let pattern = &self.pattern[base..base + self.width];
+        let miss = |&(col, qp): &(usize, u64)| care[col] & (pattern[col] ^ qp);
+        planes[3..used].fill(0);
+        let [mut ones, mut twos, mut fours] = [0u64; 3];
+        let mut octets = cols.chunks_exact(8);
+        for c in &mut octets {
+            let (o, twos_a) = csa(ones, miss(&c[0]), miss(&c[1]));
+            let (o, twos_b) = csa(o, miss(&c[2]), miss(&c[3]));
+            let (t, fours_a) = csa(twos, twos_a, twos_b);
+            let (o, twos_a) = csa(o, miss(&c[4]), miss(&c[5]));
+            let (o, twos_b) = csa(o, miss(&c[6]), miss(&c[7]));
+            let (t, fours_b) = csa(t, twos_a, twos_b);
+            let (f, eights) = csa(fours, fours_a, fours_b);
+            [ones, twos, fours] = [o, t, f];
+            ripple(&mut planes[3..used], eights);
+        }
+        planes[..3].copy_from_slice(&[ones, twos, fours]);
+        for c in octets.remainder() {
+            ripple(&mut planes[..used], miss(c));
+        }
+    }
+
     /// Accumulates the per-row mismatch-count histogram for this query into
     /// `hist` (indexed by mismatch count, length `width + 1`).
+    ///
+    /// Each block's low eight counter planes are transposed into one count
+    /// byte per row; planes above the eighth (widths of 256 and more) first
+    /// split the rows by the count's high bits. Rows increment four
+    /// interleaved 256-bin sub-histograms per high value, so runs of rows
+    /// with equal counts do not wait on one another's stores. Every visit
+    /// makes the same 64 increments, and a row outside the visited mask
+    /// adds zero.
     pub fn histogram_into(&self, q: &PackedQuery, hist: &mut [u64]) {
         debug_assert!(hist.len() > self.width);
-        let mut planes = [0u64; usize::BITS as usize];
-        let counters = &mut planes[..self.counter_planes()];
+        let cols: Vec<(usize, u64)> = q.definite_from(0).collect();
+        let used = self.counter_planes();
+        let mut bins = vec![[0u64; 256]; SUB_HISTS * ((self.width >> BYTE_PLANES) + 1)];
+        let mut planes = [0u64; MAX_PLANES];
         for blk in 0..self.blocks() {
-            self.count_block(q, blk, counters);
-            split_counts(counters, self.block_mask(blk), 0, &mut |k, rows| {
-                hist[k] += u64::from(rows.count_ones());
+            self.count_block(&cols, blk, &mut planes);
+            let (low, high) = planes[..used.max(BYTE_PLANES)].split_at(BYTE_PLANES);
+            let counts = byte_counts(low.try_into().expect("eight low planes"));
+            split_counts(high, self.block_mask(blk), 0, &mut |k, rows| {
+                let bins: &mut [[u64; 256]; SUB_HISTS] = (&mut bins[k * SUB_HISTS..][..SUB_HISTS])
+                    .try_into()
+                    .expect("one set of sub-histograms per high count");
+                for (j, word) in counts.iter().enumerate() {
+                    let rows = rows >> (8 * j);
+                    for i in 0..8 {
+                        let count = (word >> (8 * i)) as u8;
+                        bins[i % SUB_HISTS][usize::from(count)] += (rows >> i) & 1;
+                    }
+                }
                 true
             });
+        }
+        for (k, h) in hist.iter_mut().take(self.width + 1).enumerate() {
+            let set = &bins[(k >> BYTE_PLANES) * SUB_HISTS..][..SUB_HISTS];
+            *h += set.iter().map(|b| b[k & 0xff]).sum::<u64>();
         }
     }
 
@@ -236,14 +285,15 @@ impl BitPlaneTable {
     /// over the definite digits), ties broken by lowest global id. Returns
     /// `(global_id, mismatch_count)`; `None` only for an empty table.
     pub fn nearest(&self, q: &PackedQuery) -> Option<(u32, u32)> {
+        let cols: Vec<(usize, u64)> = q.definite_from(0).collect();
+        let used = self.counter_planes();
         let mut best: Option<(u32, u32)> = None;
-        let mut planes = [0u64; usize::BITS as usize];
-        let counters = &mut planes[..self.counter_planes()];
+        let mut planes = [0u64; MAX_PLANES];
         for blk in 0..self.blocks() {
-            self.count_block(q, blk, counters);
+            self.count_block(&cols, blk, &mut planes);
             // The first count visited is the block's minimum; its lowest
             // row is the block's best, and earlier blocks win ties.
-            split_counts(counters, self.block_mask(blk), 0, &mut |k, rows| {
+            split_counts(&planes[..used], self.block_mask(blk), 0, &mut |k, rows| {
                 let slot = blk * BLOCK_ROWS + rows.trailing_zeros() as usize;
                 if best.is_none_or(|(b, _)| (k as u32) < b) {
                     best = Some((k as u32, self.row_ids[slot]));
@@ -253,6 +303,63 @@ impl BitPlaneTable {
         }
         best.map(|(k, gid)| (gid, k))
     }
+}
+
+/// Counter planes of a block count: enough for any width.
+const MAX_PLANES: usize = usize::BITS as usize;
+
+/// Low counter planes the histogram transposes into per-row count bytes.
+const BYTE_PLANES: usize = 8;
+
+/// Interleaved sub-histograms [`BitPlaneTable::histogram_into`] spreads
+/// its increments over.
+const SUB_HISTS: usize = 4;
+
+/// `SPREAD[b]` holds bit `i` of `b` in bit 0 of byte `i`.
+static SPREAD: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut i = 0;
+        while i < 8 {
+            table[b] |= ((b as u64 >> i) & 1) << (8 * i);
+            i += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
+/// Carry-save (full) adder over 64 lanes: the sum and carry masks of
+/// `a + b + c`.
+#[inline(always)]
+fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
+    let u = a ^ b;
+    (u ^ c, (a & b) | (u & c))
+}
+
+/// Adds the row increments `carry` to the bit-sliced counter `planes`,
+/// rippling through every plane.
+#[inline(always)]
+fn ripple(planes: &mut [u64], mut carry: u64) {
+    for p in planes {
+        let sum = *p ^ carry;
+        carry &= *p;
+        *p = sum;
+    }
+}
+
+/// Transposes eight bit-sliced counter planes into per-row counts: row
+/// `8 * j + i`'s count is byte `i` of word `j`.
+#[inline]
+fn byte_counts(planes: &[u64; BYTE_PLANES]) -> [u64; 8] {
+    let mut words = [0u64; 8];
+    for (k, &plane) in planes.iter().enumerate() {
+        for (j, word) in words.iter_mut().enumerate() {
+            *word |= SPREAD[(plane >> (8 * j)) as usize & 0xff] << k;
+        }
+    }
+    words
 }
 
 /// Splits the row mask `rows` by the bit-sliced counts in `planes`, top

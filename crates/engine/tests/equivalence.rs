@@ -2,11 +2,15 @@
 //! with and without the prefix index) must agree with the golden
 //! `TcamTable` model on every operation, for arbitrary ternary content —
 //! including all-X rows, all-X queries and empty tables — at widths that
-//! fit one 64-digit mask word and widths that cross one or two.
+//! fit one 64-digit mask word and widths that cross one or two. The
+//! mismatch-counting kernel and the query packing are also checked at
+//! every counter-plane count and around every mask-word boundary.
 
 use ftcam_engine::{BitPlaneTable, EngineConfig, PackedQuery, TcamEngine};
-use ftcam_workloads::{TcamTable, Ternary, TernaryWord};
+use ftcam_workloads::{TcamTable, Ternary, TernaryWord, ToggleStats};
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 /// Widths under test: one mask word, and two (70) or three (130) words.
 const WIDTHS: [usize; 3] = [10, 70, 130];
@@ -198,6 +202,145 @@ proptest! {
             prop_assert_eq!(engine.lpm(&q), None);
             prop_assert_eq!(engine.match_count(&q), 0);
             prop_assert_eq!(engine.nearest(&q), None);
+        }
+    }
+}
+
+/// Widths whose counts need 1 to 9 counter planes, on both sides of each
+/// plane boundary and of the 64-digit mask-word boundaries.
+const KERNEL_WIDTHS: [usize; 14] = [1, 3, 7, 8, 31, 32, 63, 64, 65, 127, 128, 255, 256, 300];
+
+/// A random ternary word: each digit is `X` with probability `p_x`, else a
+/// fair bit.
+fn random_word(rng: &mut ChaCha8Rng, width: usize, p_x: f64) -> TernaryWord {
+    TernaryWord::new(
+        (0..width)
+            .map(|_| {
+                if rng.gen_bool(p_x) {
+                    Ternary::X
+                } else {
+                    Ternary::from_bit(rng.gen_bool(0.5))
+                }
+            })
+            .collect(),
+    )
+}
+
+/// `base` with each definite digit inverted with probability `p_flip` and
+/// turned into `X` with probability `p_x`: against a definite `base` its
+/// mismatch count spreads over `0..=width` as `p_flip` does over `0..1`.
+fn perturbed(rng: &mut ChaCha8Rng, base: &TernaryWord, p_flip: f64, p_x: f64) -> TernaryWord {
+    TernaryWord::new(
+        base.digits()
+            .iter()
+            .map(|&d| match d {
+                _ if rng.gen_bool(p_x) => Ternary::X,
+                Ternary::X => Ternary::from_bit(rng.gen_bool(0.5)),
+                d if rng.gen_bool(p_flip) => Ternary::from_bit(d == Ternary::Zero),
+                d => d,
+            })
+            .collect(),
+    )
+}
+
+/// The counting kernel behind `histogram_into` and `nearest` agrees with
+/// the golden per-row mismatch counts at every width of [`KERNEL_WIDTHS`].
+/// Each table has 150 rows (two full blocks and a partial one): half are
+/// random ternary rows, half perturb a definite anchor query from none to
+/// every digit inverted, and the last is the anchor's complement, so
+/// counts reach the top plane at every width.
+#[test]
+fn counting_kernel_equals_golden_at_every_plane_count() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x00c0_ffee);
+    for width in KERNEL_WIDTHS {
+        let anchor = random_word(&mut rng, width, 0.0);
+        let mut t = TcamTable::new(width);
+        for i in 0..150 {
+            let row = if i == 149 {
+                perturbed(&mut rng, &anchor, 1.0, 0.0)
+            } else if i % 2 == 0 {
+                let p_x = [0.0, 0.1, 0.4][i % 3];
+                random_word(&mut rng, width, p_x)
+            } else {
+                let p_flip = rng.gen_range(0.0..1.0);
+                perturbed(&mut rng, &anchor, p_flip, [0.0, 0.0, 0.05][i % 3])
+            };
+            t.push(row);
+        }
+        let planes = BitPlaneTable::from_table(&t);
+        let mut queries = vec![anchor.clone(), TernaryWord::all_x(width)];
+        queries.extend([0.0, 0.2, 0.5].map(|p_x| random_word(&mut rng, width, p_x)));
+        queries.push(perturbed(&mut rng, &anchor, 0.5, 0.1));
+        for (n, q) in queries.iter().enumerate() {
+            let profile = t.mismatch_profile(q);
+            let mut expect = vec![0u64; width + 1];
+            for &k in &profile {
+                expect[k] += 1;
+            }
+            let packed = PackedQuery::from_word(q);
+            let mut hist = vec![0u64; width + 1];
+            planes.histogram_into(&packed, &mut hist);
+            assert_eq!(hist, expect, "histogram, width {width}, query {n}");
+            assert_eq!(
+                planes.nearest(&packed),
+                golden_nearest(&profile),
+                "nearest, width {width}, query {n}"
+            );
+        }
+        // The anchor's counts span the width: the top plane is used.
+        let top = t.mismatch_profile(&anchor).into_iter().max().unwrap_or(0);
+        assert_eq!(top, width, "the complement row mismatches every digit");
+    }
+}
+
+/// `PackedQuery` keeps every digit across the inline first mask word and
+/// the words after it: broadcast masks, the top-digit key and search-line
+/// toggles agree with the ternary word at widths around 64 and at 130.
+#[test]
+fn packed_query_round_trips_across_mask_words() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x0051_5eed);
+    for width in [63, 64, 65, 130] {
+        let words: Vec<TernaryWord> = [0.0, 0.3, 0.0, 1.0, 0.1]
+            .iter()
+            .map(|&p_x| random_word(&mut rng, width, p_x))
+            .collect();
+        let mut prev: Option<(PackedQuery, &TernaryWord)> = None;
+        for w in &words {
+            let q = PackedQuery::from_word(w);
+            assert_eq!(q.width(), width);
+            for (j, &d) in w.digits().iter().enumerate() {
+                let masks = (q.care_mask(j), q.pattern_mask(j));
+                let expect = match d {
+                    Ternary::X => (0, 0),
+                    Ternary::Zero => (!0, 0),
+                    Ternary::One => (!0, !0),
+                };
+                assert_eq!(masks, expect, "width {width}, digit {j}");
+            }
+            for k in 0..=width.min(64) {
+                let top = &w.digits()[..k];
+                let expect = top.iter().all(|&d| d != Ternary::X).then(|| {
+                    top.iter()
+                        .fold(0usize, |v, &d| v << 1 | usize::from(d == Ternary::One))
+                });
+                assert_eq!(q.top_value(k), expect, "width {width}, top {k}");
+            }
+            let (toggles, golden) = match &prev {
+                None => (
+                    q.toggles_from(None),
+                    ToggleStats::from_queries(std::slice::from_ref(w)).transitions_per_search(),
+                ),
+                Some((pq, pw)) => {
+                    let pair = ToggleStats::from_queries(&[(*pw).clone(), w.clone()]);
+                    let charged = (width - pw.wildcard_count()) as f64;
+                    (
+                        q.toggles_from(Some(pq)),
+                        2.0 * pair.transitions_per_search() - charged,
+                    )
+                }
+            };
+            assert_eq!(f64::from(toggles), golden, "width {width} toggles");
+            prev = Some((q, w));
         }
     }
 }
