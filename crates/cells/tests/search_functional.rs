@@ -257,7 +257,7 @@ fn analog_search_with_ternary_levels_matches_digital_search() {
         analog_row.program_word(&stored).unwrap();
         let (v_sl, v_slb): (Vec<f64>, Vec<f64>) = query
             .iter()
-            .map(|&d| analog_row.design().sl_levels(d, &card))
+            .map(|d| analog_row.design().sl_levels(d, &card))
             .unzip();
         let digital = digital_row.search(&query, &timing).unwrap();
         let analog = analog_row.search_analog(&v_sl, &v_slb, &timing).unwrap();

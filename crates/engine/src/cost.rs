@@ -15,7 +15,7 @@
 
 use ftcam_array::{ArrayModel, ArrayParams, PeripheralModel, RowCalibration};
 use ftcam_cells::DesignKind;
-use ftcam_workloads::{Ternary, TernaryWord};
+use ftcam_workloads::TernaryWord;
 
 /// How the replay pipeline meters energy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,7 +131,7 @@ impl CostModel {
     /// `hist[k]` counts rows with `k` mismatches (summing to the array row
     /// count); `definite` and `toggles` are the query's definite-digit and
     /// SL-pair-transition counts.
-    pub fn energy_from_hist(&self, hist: &[u64], definite: u32, toggles: u32) -> f64 {
+    pub fn energy_from_hist(&self, hist: &[u64], definite: usize, toggles: usize) -> f64 {
         let mut rows_energy = 0.0;
         let mut stages_total = 0.0;
         for (k, &count) in hist.iter().enumerate() {
@@ -145,10 +145,10 @@ impl CostModel {
         let rows = self.rows as f64;
         let stages_avg = stages_total / rows.max(1.0);
         let toggled_lines = if self.sl_gated {
-            rows_energy += f64::from(toggles) * self.e_sl_per_definite_bit * rows;
-            f64::from(toggles)
+            rows_energy += toggles as f64 * self.e_sl_per_definite_bit * rows;
+            toggles as f64
         } else {
-            f64::from(definite)
+            definite as f64
         };
         rows_energy
             + self
@@ -174,14 +174,10 @@ impl CostModel {
         if self.seg_widths.len() <= 1 {
             return self.row_energy(stored.mismatch_count(query));
         }
-        let sd = stored.digits();
-        let qd = query.digits();
         let mut energy = self.seg_overhead;
         let mut start = 0usize;
         for (s, &w) in self.seg_widths.iter().enumerate() {
-            let m = (start..start + w)
-                .filter(|&j| sd[j] != Ternary::X && qd[j] != Ternary::X && sd[j] != qd[j])
-                .count();
+            let m = stored.mismatch_count_in(query, start..start + w);
             if m > 0 {
                 return energy + self.seg_e_match[s] + self.miss_delta(m);
             }

@@ -17,9 +17,9 @@
 //! Buckets store *global* row ids in ascending order, so priority and LPM
 //! semantics are identical to the full scan.
 
-use ftcam_workloads::{TcamTable, Ternary};
+use ftcam_workloads::{TcamTable, TernaryWord};
 
-use crate::query::PackedQuery;
+use crate::query::top_key;
 use crate::table::BitPlaneTable;
 
 /// Maximum number of wildcard digits in the top `K` a row may have and
@@ -64,26 +64,22 @@ impl PrefixIndex {
         let mut bucket_ids: Vec<Vec<u32>> = vec![Vec::new(); 1 << stride];
         let mut shared_ids: Vec<u32> = Vec::new();
         for &gid in ids {
-            let digits = rows[gid as usize].digits();
-            // Wildcard positions within the top `stride` digits.
-            let xs: Vec<usize> = (0..stride).filter(|&j| digits[j] == Ternary::X).collect();
-            if xs.len() > MAX_EXPAND_BITS {
+            // `wild` marks the key bits of the top `stride` digits that
+            // are `X`.
+            let (base, wild) = top_key(&rows[gid as usize], stride);
+            if wild.count_ones() as usize > MAX_EXPAND_BITS {
                 shared_ids.push(gid);
                 continue;
             }
-            let mut base = 0usize;
-            for &d in digits.iter().take(stride) {
-                base = (base << 1) | usize::from(d == Ternary::One);
-            }
-            // Enumerate every assignment of the wildcard digits.
-            for combo in 0..(1usize << xs.len()) {
-                let mut key = base;
-                for (b, &pos) in xs.iter().enumerate() {
-                    if combo >> b & 1 == 1 {
-                        key |= 1 << (stride - 1 - pos);
-                    }
+            // Enumerate every assignment of the wildcard digits: each
+            // subset of `wild`, ascending.
+            let mut combo = 0usize;
+            loop {
+                bucket_ids[base | combo].push(gid);
+                if combo == wild {
+                    break;
                 }
-                bucket_ids[key].push(gid);
+                combo = combo.wrapping_sub(wild) & wild;
             }
         }
         let buckets = bucket_ids
@@ -106,12 +102,13 @@ impl PrefixIndex {
     /// the top `K` digits (caller must full-scan). Every row of the bucket
     /// matches `q` on those `K` digits.
     #[inline]
-    fn route(&self, q: &PackedQuery) -> Option<&BitPlaneTable> {
-        q.top_value(self.stride).map(|key| &self.buckets[key])
+    fn route(&self, q: &TernaryWord) -> Option<&BitPlaneTable> {
+        let (key, wild) = top_key(q, self.stride);
+        (wild == 0).then(|| &self.buckets[key])
     }
 
     /// Indexed priority search; `None` means "not routable, full-scan".
-    pub fn first_match(&self, q: &PackedQuery) -> Option<Option<u32>> {
+    pub fn first_match(&self, q: &TernaryWord) -> Option<Option<u32>> {
         let a = self.route(q)?.first_match(q, self.stride);
         let b = self.shared.first_match(q, 0);
         Some([a, b].into_iter().flatten().min())
@@ -119,14 +116,14 @@ impl PrefixIndex {
 
     /// Indexed first match and match count from one scan of the bucket and
     /// the shared sub-table; `None` means "not routable, full-scan".
-    pub fn first_and_count(&self, q: &PackedQuery) -> Option<(Option<u32>, u64)> {
+    pub fn first_and_count(&self, q: &TernaryWord) -> Option<(Option<u32>, u64)> {
         let (a, m) = self.route(q)?.first_and_count(q, self.stride);
         let (b, n) = self.shared.first_and_count(q, 0);
         Some(([a, b].into_iter().flatten().min(), m + n))
     }
 
     /// Indexed LPM; `None` means "not routable, full-scan".
-    pub fn lpm(&self, q: &PackedQuery) -> Option<Option<(u32, u16)>> {
+    pub fn lpm(&self, q: &TernaryWord) -> Option<Option<(u32, u16)>> {
         let a = self.route(q)?.lpm(q, self.stride);
         let b = self.shared.lpm(q, 0);
         let best = [a, b]
@@ -140,7 +137,6 @@ impl PrefixIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftcam_workloads::TernaryWord;
 
     fn prefix_table(rows: usize, width: usize) -> TcamTable {
         let mut t = TcamTable::new(width);
@@ -159,7 +155,7 @@ mod tests {
         let idx = PrefixIndex::build(&t, full.row_ids()).expect("stride > 0");
         assert!(idx.stride() > 0);
         for v in (0..1u64 << 16).step_by(97) {
-            let q = PackedQuery::from_word(&TernaryWord::from_bits(v, 16));
+            let q = TernaryWord::from_bits(v, 16);
             assert_eq!(idx.first_match(&q), Some(full.first_match(&q, 0)), "v={v}");
             assert_eq!(
                 idx.first_and_count(&q),
@@ -175,7 +171,7 @@ mod tests {
         let t = prefix_table(600, 16);
         let full = BitPlaneTable::from_table(&t);
         let idx = PrefixIndex::build(&t, full.row_ids()).expect("stride > 0");
-        let q = PackedQuery::from_word(&"XXXXXXXXXXXXXXXX".parse().unwrap());
+        let q = TernaryWord::all_x(16);
         assert_eq!(idx.first_match(&q), None);
         assert_eq!(idx.lpm(&q), None);
     }
@@ -191,7 +187,7 @@ mod tests {
         let full = BitPlaneTable::from_table(&t);
         let idx = PrefixIndex::build(&t, full.row_ids()).expect("stride > 0");
         // The catch-all must win priority for every query it matches.
-        let q = PackedQuery::from_word(&TernaryWord::from_bits(42, 16));
+        let q = TernaryWord::from_bits(42, 16);
         assert_eq!(idx.first_match(&q), Some(Some(0)));
         // But LPM prefers the exact row.
         assert_eq!(idx.lpm(&q), Some(Some((43, 0))));

@@ -63,6 +63,5 @@ pub use engine::{
     DesignStats, EngineConfig, EngineStats, ReplaySession, TcamEngine, MATCH_HIST_BUCKETS,
 };
 pub use index::{PrefixIndex, MAX_EXPAND_BITS};
-pub use query::PackedQuery;
 pub use replay::{AnySource, WorkloadReplay};
 pub use table::{BitPlaneTable, BLOCK_ROWS};

@@ -29,9 +29,9 @@
 //! sub-histograms; the nearest-Hamming query splits the row mask on the
 //! planes, lowest count first.
 
-use ftcam_workloads::{TcamTable, Ternary};
+use ftcam_workloads::{TcamTable, TernaryWord};
 
-use crate::query::PackedQuery;
+use crate::query::definite_from;
 
 /// Rows per storage block (one `u64` plane word).
 pub const BLOCK_ROWS: usize = 64;
@@ -82,20 +82,13 @@ impl BitPlaneTable {
         let rows = table.rows();
         for (slot, &gid) in t.row_ids.iter().enumerate() {
             let word = &rows[gid as usize];
-            let (blk, bit) = (slot / BLOCK_ROWS, slot % BLOCK_ROWS);
+            let (blk, row_bit) = (slot / BLOCK_ROWS, 1u64 << (slot % BLOCK_ROWS));
             let base = blk * width;
-            let mut wc = 0u16;
-            for (col, &d) in word.digits().iter().enumerate() {
-                match d {
-                    Ternary::X => wc += 1,
-                    Ternary::Zero => t.care[base + col] |= 1 << bit,
-                    Ternary::One => {
-                        t.care[base + col] |= 1 << bit;
-                        t.pattern[base + col] |= 1 << bit;
-                    }
-                }
+            for (col, pattern) in definite_from(word.masks(), 0) {
+                t.care[base + col] |= row_bit;
+                t.pattern[base + col] |= row_bit & pattern;
             }
-            t.wildcards.push(wc);
+            t.wildcards.push(word.wildcard_count() as u16);
         }
         t
     }
@@ -140,10 +133,10 @@ impl BitPlaneTable {
     /// Mask of matching rows within block `blk`, comparing columns
     /// `from..width` only.
     #[inline]
-    fn match_block(&self, q: &PackedQuery, blk: usize, from: usize) -> u64 {
+    fn match_block(&self, q: &[[u64; 2]], blk: usize, from: usize) -> u64 {
         let base = blk * self.width;
         let mut alive = self.block_mask(blk);
-        for (col, qp) in q.definite_from(from) {
+        for (col, qp) in definite_from(q, from) {
             alive &= !(self.care[base + col] & (self.pattern[base + col] ^ qp));
             if alive == 0 {
                 break;
@@ -158,7 +151,8 @@ impl BitPlaneTable {
     /// every stored row matches `q` on the columns before `from` (0 for a
     /// full scan). The same holds for [`Self::first_and_count`] and
     /// [`Self::lpm`].
-    pub fn first_match(&self, q: &PackedQuery, from: usize) -> Option<u32> {
+    pub fn first_match(&self, q: &TernaryWord, from: usize) -> Option<u32> {
+        let q = q.masks();
         (0..self.blocks()).find_map(|blk| {
             let alive = self.match_block(q, blk, from);
             (alive != 0).then(|| self.row_ids[blk * BLOCK_ROWS + alive.trailing_zeros() as usize])
@@ -167,7 +161,8 @@ impl BitPlaneTable {
 
     /// Lowest matching row (global id) and the number of matching rows,
     /// from one scan.
-    pub fn first_and_count(&self, q: &PackedQuery, from: usize) -> (Option<u32>, u64) {
+    pub fn first_and_count(&self, q: &TernaryWord, from: usize) -> (Option<u32>, u64) {
+        let q = q.masks();
         let mut first = None;
         let mut count = 0u64;
         for blk in 0..self.blocks() {
@@ -183,7 +178,8 @@ impl BitPlaneTable {
     /// Longest-prefix match: among matching rows, the one with the fewest
     /// wildcard digits, ties broken by lowest global id. Returns
     /// `(global_id, wildcard_count)`.
-    pub fn lpm(&self, q: &PackedQuery, from: usize) -> Option<(u32, u16)> {
+    pub fn lpm(&self, q: &TernaryWord, from: usize) -> Option<(u32, u16)> {
+        let q = q.masks();
         let mut best: Option<(u16, u32)> = None;
         for blk in 0..self.blocks() {
             let mut alive = self.match_block(q, blk, from);
@@ -251,9 +247,9 @@ impl BitPlaneTable {
     /// with equal counts do not wait on one another's stores. Every visit
     /// makes the same 64 increments, and a row outside the visited mask
     /// adds zero.
-    pub fn histogram_into(&self, q: &PackedQuery, hist: &mut [u64]) {
+    pub fn histogram_into(&self, q: &TernaryWord, hist: &mut [u64]) {
         debug_assert!(hist.len() > self.width);
-        let cols: Vec<(usize, u64)> = q.definite_from(0).collect();
+        let cols: Vec<(usize, u64)> = definite_from(q.masks(), 0).collect();
         let used = self.counter_planes();
         let mut bins = vec![[0u64; 256]; SUB_HISTS * ((self.width >> BYTE_PLANES) + 1)];
         let mut planes = [0u64; MAX_PLANES];
@@ -284,8 +280,8 @@ impl BitPlaneTable {
     /// Row with the fewest mismatches against `q` (nearest-Hamming query
     /// over the definite digits), ties broken by lowest global id. Returns
     /// `(global_id, mismatch_count)`; `None` only for an empty table.
-    pub fn nearest(&self, q: &PackedQuery) -> Option<(u32, u32)> {
-        let cols: Vec<(usize, u64)> = q.definite_from(0).collect();
+    pub fn nearest(&self, q: &TernaryWord) -> Option<(u32, u32)> {
+        let cols: Vec<(usize, u64)> = definite_from(q.masks(), 0).collect();
         let used = self.counter_planes();
         let mut best: Option<(u32, u32)> = None;
         let mut planes = [0u64; MAX_PLANES];
@@ -384,7 +380,6 @@ fn split_counts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftcam_workloads::TernaryWord;
 
     fn table(rows: &[&str]) -> TcamTable {
         let mut t = TcamTable::new(rows[0].len());
@@ -394,8 +389,8 @@ mod tests {
         t
     }
 
-    fn pq(s: &str) -> PackedQuery {
-        PackedQuery::from_word(&s.parse::<TernaryWord>().unwrap())
+    fn pq(s: &str) -> TernaryWord {
+        s.parse().unwrap()
     }
 
     #[test]
@@ -459,7 +454,7 @@ mod tests {
             t.push(TernaryWord::from_bits(u64::from(i), 8));
         }
         let shard = BitPlaneTable::from_rows(&t, 70..100);
-        let q = PackedQuery::from_word(&TernaryWord::from_bits(85, 8));
+        let q = TernaryWord::from_bits(85, 8);
         assert_eq!(shard.first_match(&q, 0), Some(85));
         assert_eq!(shard.first_and_count(&q, 0), (Some(85), 1));
         assert_eq!(shard.len(), 30);

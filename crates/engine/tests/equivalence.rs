@@ -3,10 +3,10 @@
 //! `TcamTable` model on every operation, for arbitrary ternary content —
 //! including all-X rows, all-X queries and empty tables — at widths that
 //! fit one 64-digit mask word and widths that cross one or two. The
-//! mismatch-counting kernel and the query packing are also checked at
-//! every counter-plane count and around every mask-word boundary.
+//! mismatch-counting kernel is also checked at every counter-plane count,
+//! and the words' mask words around every mask-word boundary.
 
-use ftcam_engine::{BitPlaneTable, EngineConfig, PackedQuery, TcamEngine};
+use ftcam_engine::{BitPlaneTable, EngineConfig, TcamEngine};
 use ftcam_workloads::{TcamTable, Ternary, TernaryWord, ToggleStats};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -26,7 +26,7 @@ fn ternary() -> impl Strategy<Value = Ternary> {
 }
 
 fn word() -> impl Strategy<Value = TernaryWord> {
-    proptest::collection::vec(ternary(), WIDTH).prop_map(TernaryWord::new)
+    proptest::collection::vec(ternary(), WIDTH).prop_map(|digits| digits.into_iter().collect())
 }
 
 /// Raw material of one row or query: random ternary digits, random bits,
@@ -48,15 +48,13 @@ fn raw() -> impl Strategy<Value = Raw> {
 /// all-X row.
 fn row((digits, bits, shape, len): &Raw, width: usize) -> TernaryWord {
     match shape {
-        0..=3 => TernaryWord::new(digits[..width].to_vec()),
+        0..=3 => digits[..width].iter().copied().collect(),
         4..=6 => {
             let len = len % (width + 1);
             let definite = bits[..len].iter().map(|&b| Ternary::from_bit(b));
-            TernaryWord::new(
-                definite
-                    .chain(std::iter::repeat_n(Ternary::X, width - len))
-                    .collect(),
-            )
+            definite
+                .chain(std::iter::repeat_n(Ternary::X, width - len))
+                .collect()
         }
         _ => TernaryWord::all_x(width),
     }
@@ -70,14 +68,13 @@ fn row((digits, bits, shape, len): &Raw, width: usize) -> TernaryWord {
 fn query((digits, bits, shape, pick): &Raw, t: &TcamTable) -> TernaryWord {
     let width = t.width();
     if *shape < 2 || t.is_empty() {
-        return TernaryWord::new(digits[..width].to_vec());
+        return digits[..width].iter().copied().collect();
     }
     let stored = &t.rows()[pick % t.len()];
     let mut filled: Vec<Ternary> = stored
-        .digits()
         .iter()
         .zip(bits)
-        .map(|(&d, &b)| {
+        .map(|(d, &b)| {
             if d == Ternary::X {
                 Ternary::from_bit(b)
             } else {
@@ -90,10 +87,10 @@ fn query((digits, bits, shape, pick): &Raw, t: &TcamTable) -> TernaryWord {
         5 | 6 => Some(pick / t.len() % width.min(4)),
         _ => Some(pick / t.len() % width),
     };
-    if let Some(col) = flip.filter(|&c| stored.digits()[c] != Ternary::X) {
+    if let Some(col) = flip.filter(|&c| stored.get(c) != Ternary::X) {
         filled[col] = Ternary::from_bit(filled[col] == Ternary::Zero);
     }
-    TernaryWord::new(filled)
+    filled.into_iter().collect()
 }
 
 fn table(width: usize, rows: Vec<TernaryWord>) -> TcamTable {
@@ -159,7 +156,7 @@ proptest! {
                 expect[k] += 1;
             }
             let mut hist = vec![0u64; width + 1];
-            planes.histogram_into(&PackedQuery::from_word(&q), &mut hist);
+            planes.histogram_into(&q, &mut hist);
             prop_assert_eq!(hist, expect, "histogram, width {}", width);
             let search = t.search(&q).map(|i| i as u32);
             let lpm = t.longest_prefix_match(&q).map(|i| i as u32);
@@ -213,34 +210,29 @@ const KERNEL_WIDTHS: [usize; 14] = [1, 3, 7, 8, 31, 32, 63, 64, 65, 127, 128, 25
 /// A random ternary word: each digit is `X` with probability `p_x`, else a
 /// fair bit.
 fn random_word(rng: &mut ChaCha8Rng, width: usize, p_x: f64) -> TernaryWord {
-    TernaryWord::new(
-        (0..width)
-            .map(|_| {
-                if rng.gen_bool(p_x) {
-                    Ternary::X
-                } else {
-                    Ternary::from_bit(rng.gen_bool(0.5))
-                }
-            })
-            .collect(),
-    )
+    (0..width)
+        .map(|_| {
+            if rng.gen_bool(p_x) {
+                Ternary::X
+            } else {
+                Ternary::from_bit(rng.gen_bool(0.5))
+            }
+        })
+        .collect()
 }
 
 /// `base` with each definite digit inverted with probability `p_flip` and
 /// turned into `X` with probability `p_x`: against a definite `base` its
 /// mismatch count spreads over `0..=width` as `p_flip` does over `0..1`.
 fn perturbed(rng: &mut ChaCha8Rng, base: &TernaryWord, p_flip: f64, p_x: f64) -> TernaryWord {
-    TernaryWord::new(
-        base.digits()
-            .iter()
-            .map(|&d| match d {
-                _ if rng.gen_bool(p_x) => Ternary::X,
-                Ternary::X => Ternary::from_bit(rng.gen_bool(0.5)),
-                d if rng.gen_bool(p_flip) => Ternary::from_bit(d == Ternary::Zero),
-                d => d,
-            })
-            .collect(),
-    )
+    base.iter()
+        .map(|d| match d {
+            _ if rng.gen_bool(p_x) => Ternary::X,
+            Ternary::X => Ternary::from_bit(rng.gen_bool(0.5)),
+            d if rng.gen_bool(p_flip) => Ternary::from_bit(d == Ternary::Zero),
+            d => d,
+        })
+        .collect()
 }
 
 /// The counting kernel behind `histogram_into` and `nearest` agrees with
@@ -277,12 +269,11 @@ fn counting_kernel_equals_golden_at_every_plane_count() {
             for &k in &profile {
                 expect[k] += 1;
             }
-            let packed = PackedQuery::from_word(q);
             let mut hist = vec![0u64; width + 1];
-            planes.histogram_into(&packed, &mut hist);
+            planes.histogram_into(q, &mut hist);
             assert_eq!(hist, expect, "histogram, width {width}, query {n}");
             assert_eq!(
-                planes.nearest(&packed),
+                planes.nearest(q),
                 golden_nearest(&profile),
                 "nearest, width {width}, query {n}"
             );
@@ -293,54 +284,54 @@ fn counting_kernel_equals_golden_at_every_plane_count() {
     }
 }
 
-/// `PackedQuery` keeps every digit across the inline first mask word and
-/// the words after it: broadcast masks, the top-digit key and search-line
-/// toggles agree with the ternary word at widths around 64 and at 130.
+/// A word keeps every digit across its mask words: the `[care, pattern]`
+/// bits and search-line toggles agree with the digits at widths around 64
+/// and at 130. (The prefix index's top-digit key is checked over the same
+/// widths by `top_key_agrees_with_digits_across_mask_words` in the
+/// engine's `query` module.)
 #[test]
-fn packed_query_round_trips_across_mask_words() {
+fn masks_round_trip_across_mask_words() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x0051_5eed);
     for width in [63, 64, 65, 130] {
         let words: Vec<TernaryWord> = [0.0, 0.3, 0.0, 1.0, 0.1]
             .iter()
             .map(|&p_x| random_word(&mut rng, width, p_x))
             .collect();
-        let mut prev: Option<(PackedQuery, &TernaryWord)> = None;
+        let mut prev: Option<&TernaryWord> = None;
         for w in &words {
-            let q = PackedQuery::from_word(w);
-            assert_eq!(q.width(), width);
-            for (j, &d) in w.digits().iter().enumerate() {
-                let masks = (q.care_mask(j), q.pattern_mask(j));
+            assert_eq!(w.width(), width);
+            assert_eq!(w.masks().len(), width.div_ceil(64));
+            for (j, d) in w.iter().enumerate() {
+                let [care, pattern] = w.masks()[j / 64];
+                let bits = ((care >> (j % 64)) & 1, (pattern >> (j % 64)) & 1);
                 let expect = match d {
                     Ternary::X => (0, 0),
-                    Ternary::Zero => (!0, 0),
-                    Ternary::One => (!0, !0),
+                    Ternary::Zero => (1, 0),
+                    Ternary::One => (1, 1),
                 };
-                assert_eq!(masks, expect, "width {width}, digit {j}");
+                assert_eq!(bits, expect, "width {width}, digit {j}");
             }
-            for k in 0..=width.min(64) {
-                let top = &w.digits()[..k];
-                let expect = top.iter().all(|&d| d != Ternary::X).then(|| {
-                    top.iter()
-                        .fold(0usize, |v, &d| v << 1 | usize::from(d == Ternary::One))
-                });
-                assert_eq!(q.top_value(k), expect, "width {width}, top {k}");
-            }
-            let (toggles, golden) = match &prev {
-                None => (
-                    q.toggles_from(None),
-                    ToggleStats::from_queries(std::slice::from_ref(w)).transitions_per_search(),
-                ),
-                Some((pq, pw)) => {
-                    let pair = ToggleStats::from_queries(&[(*pw).clone(), w.clone()]);
-                    let charged = (width - pw.wildcard_count()) as f64;
-                    (
-                        q.toggles_from(Some(pq)),
-                        2.0 * pair.transitions_per_search() - charged,
-                    )
-                }
+            // SL is driven high on a definite 1, SLB on a definite 0; the
+            // first query charges from the idle (all-low) state.
+            let levels = |d: Ternary| (d == Ternary::One, d == Ternary::Zero);
+            let golden = match prev {
+                None => w.iter().filter(|&d| levels(d) != (false, false)).count(),
+                Some(pw) => pw
+                    .iter()
+                    .zip(w)
+                    .filter(|&(a, b)| levels(a) != levels(b))
+                    .count(),
             };
-            assert_eq!(f64::from(toggles), golden, "width {width} toggles");
-            prev = Some((q, w));
+            assert_eq!(w.sl_toggles(prev), golden, "width {width} toggles");
+            let stream: Vec<TernaryWord> = prev.into_iter().chain([w]).cloned().collect();
+            let stats = ToggleStats::from_queries(&stream);
+            let charged = prev.map_or(0, TernaryWord::definite_count);
+            assert_eq!(
+                stats.transitions_per_search() * stream.len() as f64,
+                (charged + golden) as f64,
+                "width {width} toggle stats"
+            );
+            prev = Some(w);
         }
     }
 }

@@ -118,7 +118,7 @@ impl QuerySource for HdcQuerySource {
         let mut rng = ChaCha8Rng::seed_from_u64(derive_seed(self.seed, QUERY_DOMAIN, index));
         let src = &self.vectors[rng.gen_range(0..self.vectors.len())];
         src.iter()
-            .map(|&d| {
+            .map(|d| {
                 if rng.gen_bool(self.noise) {
                     d.complement()
                 } else {

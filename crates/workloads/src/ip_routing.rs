@@ -78,19 +78,24 @@ impl IpRoutingWorkload {
         let weights = [2.0, 3.0, 12.0, 10.0, 13.0, 55.0, 3.0, 2.0];
         let dist = WeightedIndex::new(weights).expect("static weights are valid");
 
+        let entry_values: Vec<(u64, usize)> = (0..p.entries)
+            .map(|_| {
+                let len = lengths[dist.sample(&mut rng)];
+                (rng.gen::<u64>() & width_mask(p.width), len)
+            })
+            .collect();
+        // Rows go longest-prefix-first so priority search implements LPM;
+        // the stable sort keeps generation order among equal lengths.
+        let mut rows: Vec<(usize, u64, usize)> = entry_values
+            .iter()
+            .map(|&(value, len)| (p.width - len, value, len))
+            .collect();
+        rows.sort_by_key(|&(wildcards, ..)| wildcards);
         let mut table = TcamTable::new(p.width);
-        let mut entry_values = Vec::with_capacity(p.entries);
-        for _ in 0..p.entries {
-            let len = lengths[dist.sample(&mut rng)];
-            let value: u64 = rng.gen::<u64>() & width_mask(p.width);
-            entry_values.push((value, len));
-            table.push(TernaryWord::prefix(value, len, p.width));
-        }
-        // Sort rows longest-prefix-first so priority search implements LPM.
-        let mut rows: Vec<TernaryWord> = table.rows().to_vec();
-        rows.sort_by_key(|r| r.wildcard_count());
-        let mut table = TcamTable::new(p.width);
-        table.extend(rows);
+        table.extend(
+            rows.into_iter()
+                .map(|(_, value, len)| TernaryWord::prefix(value, len, p.width)),
+        );
 
         let source = IpRoutingQuerySource {
             width: p.width,

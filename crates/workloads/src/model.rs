@@ -105,6 +105,8 @@ impl TcamTable {
 
 impl Extend<TernaryWord> for TcamTable {
     fn extend<I: IntoIterator<Item = TernaryWord>>(&mut self, iter: I) {
+        let iter = iter.into_iter();
+        self.rows.reserve(iter.size_hint().0);
         for w in iter {
             self.push(w);
         }
@@ -169,7 +171,7 @@ mod tests {
     fn extend_appends_rows() {
         let mut t = TcamTable::new(2);
         t.extend(vec![
-            TernaryWord::new(vec![Ternary::One, Ternary::Zero]),
+            [Ternary::One, Ternary::Zero].into_iter().collect(),
             TernaryWord::all_x(2),
         ]);
         assert_eq!(t.len(), 2);

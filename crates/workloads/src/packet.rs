@@ -99,7 +99,7 @@ impl PacketClassifierWorkload {
                 _ => bits(0b1011, 4),
             };
             digits.extend(proto);
-            table.push(TernaryWord::new(digits));
+            table.push(digits.into_iter().collect());
         }
 
         let source = PacketQuerySource {
@@ -156,7 +156,7 @@ impl QuerySource for PacketQuerySource {
             bits(0b1011, 4)
         };
         digits.extend(proto);
-        TernaryWord::new(digits)
+        digits.into_iter().collect()
     }
 }
 

@@ -1,6 +1,6 @@
 //! Workload statistics consumed by the energy models.
 
-use crate::ternary::{Ternary, TernaryWord};
+use crate::ternary::TernaryWord;
 
 /// Histogram of per-(query, row) mismatch counts.
 ///
@@ -114,20 +114,13 @@ impl ToggleStats {
         let width = queries.first().map_or(0, TernaryWord::width);
         let mut transitions = 0u64;
         let mut definite = 0u64;
-        for (i, q) in queries.iter().enumerate() {
-            definite += (q.width() - q.wildcard_count()) as u64;
-            if i == 0 {
-                // First query: every definite digit charges from the idle
-                // (all-zero) state.
-                transitions += (q.width() - q.wildcard_count()) as u64;
-                continue;
-            }
-            let prev = &queries[i - 1];
-            for (a, b) in prev.iter().zip(q.iter()) {
-                if sl_levels(*a) != sl_levels(*b) {
-                    transitions += 1;
-                }
-            }
+        let mut prev = None;
+        for q in queries {
+            definite += q.definite_count() as u64;
+            // The first query charges every definite digit from the idle
+            // (all-low) state.
+            transitions += q.sl_toggles(prev) as u64;
+            prev = Some(q);
         }
         Self {
             width,
@@ -166,15 +159,6 @@ impl ToggleStats {
     /// Query width.
     pub fn width(&self) -> usize {
         self.width
-    }
-}
-
-/// SL/SLB drive levels for one query digit (true = driven high).
-fn sl_levels(q: Ternary) -> (bool, bool) {
-    match q {
-        Ternary::One => (true, false),
-        Ternary::Zero => (false, true),
-        Ternary::X => (false, false),
     }
 }
 

@@ -1,4 +1,16 @@
 //! Ternary digits and words — the data model of a TCAM.
+//!
+//! A TCAM cell holds a ternary digit as two bits of state: whether the
+//! digit is cared for (definite) and its value. [`TernaryWord`] stores its
+//! digits the same way, packed 64 to a mask word: digit `j` (most
+//! significant first) is bit `j % 64` of mask word `j / 64`, and each mask
+//! word is a `[care, pattern]` pair, `care` set where the digit is definite
+//! and `pattern` where it is `1` (a subset of `care`). Bits past the width
+//! stay zero. Words of up to 64 digits keep their one mask word inline;
+//! wider words keep one boxed slice. The bit-plane kernels of
+//! `ftcam-engine` read these masks directly ([`TernaryWord::masks`]).
+
+use std::ops::Range;
 
 /// One ternary digit: `0`, `1`, or don't-care (`X`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,6 +70,11 @@ impl Ternary {
             _ => None,
         }
     }
+
+    /// The `(care, pattern)` bits of this digit.
+    fn mask_bits(self) -> (bool, bool) {
+        (self != Ternary::X, self == Ternary::One)
+    }
 }
 
 impl std::fmt::Display for Ternary {
@@ -87,10 +104,15 @@ impl std::fmt::Display for ParseTernaryError {
 
 impl std::error::Error for ParseTernaryError {}
 
+/// Digits per mask word.
+const WORD_DIGITS: usize = 64;
+
 /// A fixed-width ternary word (stored entry or search key).
 ///
 /// Index 0 is the most significant (leftmost) digit, matching the way
-/// routing prefixes are written.
+/// routing prefixes are written. Digit `j` is bit `j % 64` of the
+/// `[care, pattern]` mask word `j / 64` ([`TernaryWord::masks`]); a word of
+/// up to 64 digits needs no heap allocation.
 ///
 /// # Examples
 ///
@@ -102,41 +124,46 @@ impl std::error::Error for ParseTernaryError {}
 /// assert!(stored.matches(&query));
 /// assert_eq!(stored.mismatch_count(&query), 0);
 /// assert_eq!(stored.wildcard_count(), 2);
+/// assert_eq!(stored.masks(), [[0b0011, 0b0001]]);
 /// # Ok::<(), ftcam_workloads::ParseTernaryError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct TernaryWord {
-    digits: Vec<Ternary>,
+    width: usize,
+    masks: Masks,
 }
 
-impl TernaryWord {
-    /// Creates a word from digits.
-    pub fn new(digits: Vec<Ternary>) -> Self {
-        Self { digits }
-    }
+/// The mask words of a [`TernaryWord`]: one inline word up to 64 digits,
+/// `width.div_ceil(64)` boxed words beyond. Bits past the width are zero,
+/// so the derived `Eq` and `Hash` compare digits.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Masks {
+    Narrow([u64; 2]),
+    Wide(Box<[[u64; 2]]>),
+}
 
+const _: () = assert!(std::mem::size_of::<TernaryWord>() <= 32);
+
+impl TernaryWord {
     /// All-`X` word of the given width (matches everything).
     pub fn all_x(width: usize) -> Self {
-        Self {
-            digits: vec![Ternary::X; width],
-        }
+        let masks = if width <= WORD_DIGITS {
+            Masks::Narrow([0; 2])
+        } else {
+            Masks::Wide(vec![[0; 2]; width.div_ceil(WORD_DIGITS)].into_boxed_slice())
+        };
+        Self { width, masks }
     }
 
     /// All-zero word of the given width.
     pub fn zeros(width: usize) -> Self {
-        Self {
-            digits: vec![Ternary::Zero; width],
-        }
+        Self::prefix(0, width, width)
     }
 
     /// Builds a definite (0/1) word from the low `width` bits of `value`,
     /// most significant bit first. Digits above bit 63 are 0.
     pub fn from_bits(value: u64, width: usize) -> Self {
-        let digits = (0..width)
-            .rev()
-            .map(|i| Ternary::from_bit(bit(value, i)))
-            .collect();
-        Self { digits }
+        Self::prefix(value, width, width)
     }
 
     /// An IPv4-style prefix: the top `prefix_len` of the low `width` bits
@@ -148,22 +175,61 @@ impl TernaryWord {
     /// Panics if `prefix_len > width`.
     pub fn prefix(value: u64, prefix_len: usize, width: usize) -> Self {
         assert!(prefix_len <= width, "prefix length exceeds width");
-        let mut digits = Vec::with_capacity(width);
-        for i in 0..prefix_len {
-            digits.push(Ternary::from_bit(bit(value, width - 1 - i)));
+        let mut word = Self::all_x(width);
+        // Digit `j` holds bit `width - 1 - j` of `value`, which is bit
+        // `j + 64 - width` of the reversed value.
+        let reversed = value.reverse_bits();
+        for (w, [care, pattern]) in word.masks_mut().iter_mut().enumerate() {
+            let first = w * WORD_DIGITS;
+            let shift = (first + WORD_DIGITS) as i64 - width as i64;
+            let bits = match u32::try_from(shift) {
+                Ok(right) => reversed.checked_shr(right),
+                Err(_) => u32::try_from(-shift)
+                    .ok()
+                    .and_then(|left| reversed.checked_shl(left)),
+            };
+            *care = low_bits(prefix_len.saturating_sub(first));
+            *pattern = bits.unwrap_or(0) & *care;
         }
-        digits.resize(width, Ternary::X);
-        Self { digits }
+        word
     }
 
     /// Word width in digits.
     pub fn width(&self) -> usize {
-        self.digits.len()
+        self.width
     }
 
-    /// The digits, most significant first.
-    pub fn digits(&self) -> &[Ternary] {
-        &self.digits
+    /// The `[care, pattern]` mask words, digits `0..64` first: digit `j`
+    /// is bit `j % 64` of word `j / 64`, `care` set where it is definite
+    /// and `pattern` where it is `1`. There are `width.div_ceil(64)` words
+    /// (one for an empty word), and bits past the width are zero.
+    #[inline]
+    pub fn masks(&self) -> &[[u64; 2]] {
+        match &self.masks {
+            Masks::Narrow(m) => std::slice::from_ref(m),
+            Masks::Wide(m) => m,
+        }
+    }
+
+    fn masks_mut(&mut self) -> &mut [[u64; 2]] {
+        match &mut self.masks {
+            Masks::Narrow(m) => std::slice::from_mut(m),
+            Masks::Wide(m) => m,
+        }
+    }
+
+    /// The mask word holding digit `index` and the digit's bit in it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of bounds.
+    fn locate(&self, index: usize) -> (usize, u64) {
+        assert!(
+            index < self.width,
+            "digit {index} out of bounds for width {}",
+            self.width
+        );
+        (index / WORD_DIGITS, 1 << (index % WORD_DIGITS))
     }
 
     /// Mutable access to one digit.
@@ -172,7 +238,11 @@ impl TernaryWord {
     ///
     /// Panics if `index` is out of bounds.
     pub fn set(&mut self, index: usize, value: Ternary) {
-        self.digits[index] = value;
+        let (w, bit) = self.locate(index);
+        let (care, pattern) = value.mask_bits();
+        let m = &mut self.masks_mut()[w];
+        m[0] = (m[0] & !bit) | if care { bit } else { 0 };
+        m[1] = (m[1] & !bit) | if pattern { bit } else { 0 };
     }
 
     /// The digit at `index`.
@@ -181,12 +251,24 @@ impl TernaryWord {
     ///
     /// Panics if `index` is out of bounds.
     pub fn get(&self, index: usize) -> Ternary {
-        self.digits[index]
+        let (w, bit) = self.locate(index);
+        match self.masks()[w] {
+            [care, _] if care & bit == 0 => Ternary::X,
+            [_, pattern] => Ternary::from_bit(pattern & bit != 0),
+        }
+    }
+
+    /// Number of definite (non-`X`) digits.
+    pub fn definite_count(&self) -> usize {
+        self.masks()
+            .iter()
+            .map(|[care, _]| care.count_ones() as usize)
+            .sum()
     }
 
     /// Number of `X` digits.
     pub fn wildcard_count(&self) -> usize {
-        self.digits.iter().filter(|d| **d == Ternary::X).count()
+        self.width - self.definite_count()
     }
 
     /// `true` if this stored word matches the query in every position.
@@ -206,12 +288,53 @@ impl TernaryWord {
     ///
     /// Panics if the widths differ.
     pub fn mismatch_count(&self, query: &TernaryWord) -> usize {
+        self.mismatch_count_in(query, 0..self.width)
+    }
+
+    /// Number of mismatching positions against `query` among the digits
+    /// `digits` — one segment of a segmented match line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the widths differ.
+    pub fn mismatch_count_in(&self, query: &TernaryWord, digits: Range<usize>) -> usize {
         assert_eq!(self.width(), query.width(), "width mismatch");
-        self.digits
+        self.masks()
             .iter()
-            .zip(query.digits.iter())
-            .filter(|(s, q)| !s.matches(**q))
-            .count()
+            .zip(query.masks())
+            .enumerate()
+            .map(|(w, (&[care, pattern], &[q_care, q_pattern]))| {
+                let first = w * WORD_DIGITS;
+                let span = low_bits(digits.end.saturating_sub(first))
+                    & !low_bits(digits.start.saturating_sub(first));
+                (care & q_care & (pattern ^ q_pattern) & span).count_ones() as usize
+            })
+            .sum()
+    }
+
+    /// Search-line pair transitions from driving `prev` to driving this
+    /// word as a query: SL is driven high on a definite `1` and SLB on a
+    /// definite `0`, and each digit whose `(SL, SLB)` pair changes counts
+    /// once. With no previous query, every definite digit charges from the
+    /// idle (all-low) state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the widths differ.
+    pub fn sl_toggles(&self, prev: Option<&TernaryWord>) -> usize {
+        let Some(prev) = prev else {
+            return self.definite_count();
+        };
+        assert_eq!(self.width(), prev.width(), "width mismatch");
+        self.masks()
+            .iter()
+            .zip(prev.masks())
+            .map(|(&[care, pattern], &[prev_care, prev_pattern])| {
+                let sl = (care & pattern) ^ (prev_care & prev_pattern);
+                let slb = (care & !pattern) ^ (prev_care & !prev_pattern);
+                (sl | slb).count_ones() as usize
+            })
+            .sum()
     }
 
     /// Returns a copy with exactly `count` definite digits flipped, chosen
@@ -223,19 +346,20 @@ impl TernaryWord {
     /// Panics if the word has fewer than `count` definite digits.
     pub fn with_mismatches(&self, count: usize) -> Self {
         let mut out = self.clone();
-        let mut flipped = 0;
-        for i in 0..out.digits.len() {
-            if flipped == count {
-                break;
-            }
-            if out.digits[i] != Ternary::X {
-                out.digits[i] = out.digits[i].complement();
-                flipped += 1;
+        let mut left = count;
+        for [care, pattern] in out.masks_mut() {
+            let mut definite = *care;
+            while left > 0 && definite != 0 {
+                let lowest = definite & definite.wrapping_neg();
+                *pattern ^= lowest;
+                definite ^= lowest;
+                left -= 1;
             }
         }
         assert!(
-            flipped == count,
-            "word has only {flipped} definite digits, needed {count}"
+            left == 0,
+            "word has only {} definite digits, needed {count}",
+            count - left
         );
         out
     }
@@ -243,7 +367,8 @@ impl TernaryWord {
     /// Returns a copy with `count` definite digits flipped at positions
     /// spread uniformly across the word — position-unbiased, unlike
     /// [`TernaryWord::with_mismatches`] which flips from the front (that
-    /// bias matters for segmented match-line designs).
+    /// bias matters for segmented match-line designs). `X` digits at those
+    /// positions stay `X`.
     ///
     /// # Panics
     ///
@@ -252,28 +377,76 @@ impl TernaryWord {
         let w = self.width();
         assert!(count <= w, "cannot flip {count} of {w} digits");
         let mut out = self.clone();
-        if count == 0 {
-            return out;
-        }
         for j in 0..count {
             let pos = (j * w / count + w / (2 * count)).min(w - 1);
-            out.digits[pos] = out.digits[pos].complement();
+            let (word, bit) = out.locate(pos);
+            let [care, pattern] = &mut out.masks_mut()[word];
+            *pattern ^= *care & bit;
         }
         out
     }
 
-    /// Iterates over the digits.
-    pub fn iter(&self) -> std::slice::Iter<'_, Ternary> {
-        self.digits.iter()
+    /// Iterates over the digits, most significant first.
+    pub fn iter(&self) -> Digits<'_> {
+        Digits {
+            word: self,
+            range: 0..self.width,
+        }
     }
 }
 
+/// Mask of the low `n` bits (all 64 for `n >= 64`).
+#[inline]
+fn low_bits(n: usize) -> u64 {
+    if n >= WORD_DIGITS {
+        !0
+    } else {
+        (1 << n) - 1
+    }
+}
+
+/// Iterator over the digits of a [`TernaryWord`], most significant first;
+/// see [`TernaryWord::iter`].
+#[derive(Debug, Clone)]
+pub struct Digits<'a> {
+    word: &'a TernaryWord,
+    range: Range<usize>,
+}
+
+impl Iterator for Digits<'_> {
+    type Item = Ternary;
+
+    fn next(&mut self) -> Option<Ternary> {
+        self.range.next().map(|i| self.word.get(i))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.range.size_hint()
+    }
+}
+
+impl DoubleEndedIterator for Digits<'_> {
+    fn next_back(&mut self) -> Option<Ternary> {
+        self.range.next_back().map(|i| self.word.get(i))
+    }
+}
+
+impl ExactSizeIterator for Digits<'_> {}
+
 impl std::fmt::Display for TernaryWord {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for d in &self.digits {
+        for d in self {
             write!(f, "{d}")?;
         }
         Ok(())
+    }
+}
+
+impl std::fmt::Debug for TernaryWord {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("TernaryWord")
+            .field(&format_args!("{self}"))
+            .finish()
     }
 }
 
@@ -289,32 +462,44 @@ impl std::str::FromStr for TernaryWord {
                     character: c,
                 })
             })
-            .collect::<Result<Vec<_>, _>>()
-            .map(TernaryWord::new)
+            .collect()
     }
 }
 
 impl FromIterator<Ternary> for TernaryWord {
     fn from_iter<I: IntoIterator<Item = Ternary>>(iter: I) -> Self {
-        Self::new(iter.into_iter().collect())
+        // Full mask words spill to `done`, which stays unallocated up to
+        // 64 digits.
+        let mut done: Vec<[u64; 2]> = Vec::new();
+        let mut last = [0u64; 2];
+        let mut width = 0;
+        for d in iter {
+            if width > 0 && width % WORD_DIGITS == 0 {
+                done.push(std::mem::take(&mut last));
+            }
+            let (care, pattern) = d.mask_bits();
+            let bit = width % WORD_DIGITS;
+            last[0] |= u64::from(care) << bit;
+            last[1] |= u64::from(pattern) << bit;
+            width += 1;
+        }
+        let masks = if done.is_empty() {
+            Masks::Narrow(last)
+        } else {
+            done.push(last);
+            Masks::Wide(done.into_boxed_slice())
+        };
+        Self { width, masks }
     }
 }
 
 impl<'a> IntoIterator for &'a TernaryWord {
-    type Item = &'a Ternary;
-    type IntoIter = std::slice::Iter<'a, Ternary>;
+    type Item = Ternary;
+    type IntoIter = Digits<'a>;
 
-    fn into_iter(self) -> Self::IntoIter {
-        self.digits.iter()
+    fn into_iter(self) -> Digits<'a> {
+        self.iter()
     }
-}
-
-/// Bit `k` of `value`; bits above 63 read 0.
-fn bit(value: u64, k: usize) -> bool {
-    u32::try_from(k)
-        .ok()
-        .and_then(|k| value.checked_shr(k))
-        .is_some_and(|v| v & 1 == 1)
 }
 
 #[cfg(test)]
@@ -333,8 +518,10 @@ mod tests {
     fn parse_and_display_round_trip() {
         let w: TernaryWord = "10X1*x".parse().unwrap();
         assert_eq!(w.to_string(), "10X1XX");
+        assert_eq!(format!("{w:?}"), "TernaryWord(10X1XX)");
         assert_eq!(w.width(), 6);
         assert_eq!(w.wildcard_count(), 3);
+        assert_eq!(w.masks(), [[0b1011, 0b1001]]);
     }
 
     #[test]
@@ -381,6 +568,8 @@ mod tests {
         assert_eq!(stored.mismatch_count(&q), 1);
         let q0: TernaryWord = "0011".parse().unwrap();
         assert_eq!(stored.mismatch_count(&q0), 2);
+        assert_eq!(stored.mismatch_count_in(&q0, 0..1), 1);
+        assert_eq!(stored.mismatch_count_in(&q0, 1..4), 1);
     }
 
     #[test]
@@ -404,5 +593,14 @@ mod tests {
         let stored: TernaryWord = "1010".parse().unwrap();
         let q = TernaryWord::all_x(4);
         assert!(stored.matches(&q));
+    }
+
+    #[test]
+    fn sl_toggles_count_changed_drive_pairs() {
+        let a: TernaryWord = "10X1".parse().unwrap();
+        let b: TernaryWord = "1X01".parse().unwrap();
+        assert_eq!(a.sl_toggles(None), 3);
+        assert_eq!(b.sl_toggles(Some(&a)), 2);
+        assert_eq!(b.sl_toggles(Some(&b)), 0);
     }
 }

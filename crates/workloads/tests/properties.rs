@@ -8,7 +8,7 @@ fn ternary() -> impl Strategy<Value = Ternary> {
 }
 
 fn word(width: usize) -> impl Strategy<Value = TernaryWord> {
-    proptest::collection::vec(ternary(), width).prop_map(TernaryWord::new)
+    proptest::collection::vec(ternary(), width).prop_map(|digits| digits.into_iter().collect())
 }
 
 proptest! {
@@ -81,5 +81,144 @@ proptest! {
                 == ((u64::from(probe) & 0xFFFF) >> (16 - len))
         };
         prop_assert_eq!(w.matches(&addr), expect);
+    }
+}
+
+/// Widths of the packed-word properties: any of 1–130, or one of the
+/// widths on either side of a mask-word boundary.
+fn packed_width() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        1usize..=130,
+        prop_oneof![Just(63usize), Just(64), Just(65), Just(128), Just(129)],
+    ]
+}
+
+/// The plain reference digits of a word built by [`prefix`]-style
+/// generation: bit `width - 1 - j` of `value` for the first `len` digits
+/// (bits above 63 read 0), `X` after.
+///
+/// [`prefix`]: TernaryWord::prefix
+fn prefix_digits(value: u64, len: usize, width: usize) -> Vec<Ternary> {
+    (0..width)
+        .map(|j| {
+            let k = width - 1 - j;
+            if j >= len {
+                Ternary::X
+            } else {
+                Ternary::from_bit(k < 64 && value >> k & 1 == 1)
+            }
+        })
+        .collect()
+}
+
+fn hash_of(word: &TernaryWord) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    word.hash(&mut h);
+    h.finish()
+}
+
+proptest! {
+    /// A packed word behaves like a plain `Vec<Ternary>` at every width
+    /// from 1 to 130, after a run of `set` edits: digit access, iteration
+    /// both ways, text round trips, counts, matching, search-line toggles
+    /// and the mask layout itself, with no stray bit past the width or a
+    /// pattern bit without its care bit.
+    #[test]
+    fn packed_word_equals_digit_vector(
+        width in packed_width(),
+        stored in proptest::collection::vec(ternary(), 130),
+        query in proptest::collection::vec(ternary(), 130),
+        edits in proptest::collection::vec((any::<usize>(), ternary()), 0..40),
+        segment in (any::<usize>(), any::<usize>()),
+    ) {
+        let mut digits = stored[..width].to_vec();
+        let mut w: TernaryWord = digits.iter().copied().collect();
+        for (i, d) in edits {
+            digits[i % width] = d;
+            w.set(i % width, d);
+        }
+        let q_digits = &query[..width];
+        let q: TernaryWord = q_digits.iter().copied().collect();
+
+        prop_assert_eq!(w.width(), width);
+        for (j, &d) in digits.iter().enumerate() {
+            prop_assert_eq!(w.get(j), d, "digit {}", j);
+        }
+        prop_assert_eq!(w.iter().collect::<Vec<_>>(), digits.clone());
+        prop_assert_eq!(w.iter().len(), width);
+        let reversed: Vec<Ternary> = digits.iter().rev().copied().collect();
+        prop_assert_eq!(w.iter().rev().collect::<Vec<_>>(), reversed);
+        prop_assert_eq!(&digits.iter().copied().collect::<TernaryWord>(), &w);
+
+        let text: String = digits.iter().map(|d| d.to_char()).collect();
+        prop_assert_eq!(w.to_string(), text.clone());
+        prop_assert_eq!(text.parse::<TernaryWord>().expect("own text parses"), w.clone());
+
+        let wildcards = digits.iter().filter(|&&d| d == Ternary::X).count();
+        prop_assert_eq!(w.wildcard_count(), wildcards);
+        prop_assert_eq!(w.definite_count(), width - wildcards);
+        let missed: Vec<bool> = digits.iter().zip(q_digits).map(|(s, d)| !s.matches(*d)).collect();
+        let mismatches = missed.iter().filter(|&&m| m).count();
+        prop_assert_eq!(w.mismatch_count(&q), mismatches);
+        prop_assert_eq!(w.matches(&q), mismatches == 0);
+        let (a, b) = (segment.0 % (width + 1), segment.1 % (width + 1));
+        let (start, end) = (a.min(b), a.max(b));
+        let in_segment = missed[start..end].iter().filter(|&&m| m).count();
+        prop_assert_eq!(w.mismatch_count_in(&q, start..end), in_segment);
+
+        let levels = |d: Ternary| (d == Ternary::One, d == Ternary::Zero);
+        let toggles = digits.iter().zip(q_digits).filter(|&(a, b)| levels(*a) != levels(*b)).count();
+        prop_assert_eq!(q.sl_toggles(Some(&w)), toggles);
+        prop_assert_eq!(w.sl_toggles(None), width - wildcards);
+
+        prop_assert_eq!(w.masks().len(), width.div_ceil(64));
+        for (k, &[care, pattern]) in w.masks().iter().enumerate() {
+            prop_assert_eq!(pattern & !care, 0, "pattern bit without care bit");
+            let used = (width - 64 * k).min(64);
+            if used < 64 {
+                prop_assert_eq!(care >> used, 0, "care bits past the width");
+            }
+        }
+    }
+
+    /// `prefix` and `from_bits` lay their digits out like the plain
+    /// reference on both sides of each mask-word boundary.
+    #[test]
+    fn prefix_and_from_bits_across_mask_words(
+        value in any::<u64>(),
+        width in prop_oneof![Just(63usize), Just(64), Just(65), Just(130)],
+        len in any::<usize>(),
+    ) {
+        let len = len % (width + 1);
+        let prefix = TernaryWord::prefix(value, len, width);
+        prop_assert_eq!(prefix.iter().collect::<Vec<_>>(), prefix_digits(value, len, width));
+        prop_assert_eq!(&prefix, &prefix_digits(value, len, width).into_iter().collect());
+        let bits = TernaryWord::from_bits(value, width);
+        prop_assert_eq!(&bits, &prefix_digits(value, width, width).into_iter().collect());
+        prop_assert!(prefix.matches(&bits));
+    }
+}
+
+/// `Eq` and `Hash` agree for one word built three ways: parsed, collected,
+/// and edited away from its digits and back.
+#[test]
+fn eq_and_hash_agree_across_constructions() {
+    for width in [1, 5, 63, 64, 65, 128, 129, 130] {
+        let text: String = (0..width).map(|j| ['1', '0', 'X', '1'][j % 4]).collect();
+        let parsed: TernaryWord = text.parse().expect("valid digits");
+        let collected: TernaryWord = text.chars().filter_map(Ternary::from_char).collect();
+        let mut edited = TernaryWord::zeros(width);
+        for j in 0..width {
+            edited.set(j, Ternary::One);
+        }
+        for (j, d) in parsed.iter().enumerate() {
+            edited.set(j, d);
+        }
+        for other in [&collected, &edited] {
+            assert_eq!(&parsed, other, "width {width}");
+            assert_eq!(hash_of(&parsed), hash_of(other), "width {width}");
+        }
+        assert_ne!(parsed, TernaryWord::all_x(width), "width {width}");
     }
 }

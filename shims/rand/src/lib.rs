@@ -77,14 +77,25 @@ pub trait SampleRange<T> {
     fn sample_one<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
 }
 
+/// `x % span` for a range of `span` values (`1..=2^64`) with one 64-bit
+/// division. Only an inclusive range over all 64-bit values has a span of
+/// 2^64, and there every draw is already in range.
+#[inline]
+fn reduce(x: u64, span: u128) -> u64 {
+    match u64::try_from(span) {
+        Ok(span) => x % span,
+        Err(_) => x,
+    }
+}
+
 macro_rules! impl_sample_range_int {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for std::ops::Range<$t> {
             fn sample_one<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "cannot sample empty range");
                 let span = (self.end as i128 - self.start as i128) as u128;
-                let r = rng.next_u64() as u128 % span;
-                (self.start as i128 + r as i128) as $t
+                let r = reduce(rng.next_u64(), span);
+                (self.start as i128 + i128::from(r)) as $t
             }
         }
         impl SampleRange<$t> for std::ops::RangeInclusive<$t> {
@@ -92,8 +103,8 @@ macro_rules! impl_sample_range_int {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "cannot sample empty range");
                 let span = (hi as i128 - lo as i128) as u128 + 1;
-                let r = rng.next_u64() as u128 % span;
-                (lo as i128 + r as i128) as $t
+                let r = reduce(rng.next_u64(), span);
+                (lo as i128 + i128::from(r)) as $t
             }
         }
     )*};
@@ -254,6 +265,38 @@ mod tests {
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z ^ (z >> 31)
+        }
+    }
+
+    /// The 64-bit reduction draws what the 128-bit remainder would, for
+    /// exclusive and inclusive ranges of every span class.
+    #[test]
+    fn gen_range_equals_the_128_bit_remainder() {
+        let spans: [u128; 6] = [1, 2, 1 << 32, (1 << 63) + 1, u64::MAX as u128, 1 << 64];
+        for span in spans {
+            let (mut rng, mut reference) = (Counter(11), Counter(11));
+            for _ in 0..200 {
+                let want = (reference.next_u64() as u128 % span) as u64;
+                assert_eq!(reduce(rng.next_u64(), span), want, "span {span}");
+            }
+            let hi = (span - 1) as u64;
+            let (mut rng, mut reference) = (Counter(5), Counter(5));
+            for _ in 0..200 {
+                let want = (reference.next_u64() as u128 % span) as u64;
+                assert_eq!(rng.gen_range(0..=hi), want, "0..={hi}");
+                let want = (reference.next_u64() as u128 % span) as u64;
+                let got = if hi == u64::MAX {
+                    rng.gen_range(0..=u64::MAX)
+                } else {
+                    rng.gen_range(0..hi + 1)
+                };
+                assert_eq!(got, want, "0..{hi} + 1");
+            }
+        }
+        let (mut rng, mut reference) = (Counter(9), Counter(9));
+        for _ in 0..200 {
+            let want = i64::MIN.wrapping_add(reference.next_u64() as i64);
+            assert_eq!(rng.gen_range(i64::MIN..=i64::MAX), want);
         }
     }
 

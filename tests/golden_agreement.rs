@@ -18,7 +18,8 @@ fn ternary_strategy() -> impl Strategy<Value = Ternary> {
 }
 
 fn word_strategy() -> impl Strategy<Value = TernaryWord> {
-    proptest::collection::vec(ternary_strategy(), WIDTH).prop_map(TernaryWord::new)
+    proptest::collection::vec(ternary_strategy(), WIDTH)
+        .prop_map(|digits| digits.into_iter().collect())
 }
 
 /// Definite (no-X) query words, as hardware drives them.
