@@ -124,6 +124,7 @@ pub fn calibrate_row(
     let mut t_mismatch_1 = 0.0;
     let mut margin_match = 0.0;
     let mut margin_mismatch_1 = 0.0;
+    let mut energy_sl_match = 0.0;
     let mut stages_match: Vec<ftcam_cells::StageOutcome> = Vec::new();
     let mut stages_miss: Vec<ftcam_cells::StageOutcome> = Vec::new();
     for &k in &ks {
@@ -142,6 +143,7 @@ pub fn calibrate_row(
         if k == 0 {
             t_match = outcome.latency;
             margin_match = outcome.sense_margin;
+            energy_sl_match = outcome.energy_sl;
             stages_match = outcome.stages.clone();
         }
         if k == 1 {
@@ -151,15 +153,14 @@ pub fn calibrate_row(
         }
     }
 
-    // SL energy per definite digit: from the k = 0 search of a RZ design the
-    // SL component divides by the number of definite digits. A gated design's
-    // steady-state window sees settled SL levels, so the cost of toggling a
-    // line is the RZ-equivalent line energy.
+    // SL energy per definite digit: from the sweep's k = 0 search of a RZ
+    // design the SL component divides by the number of definite digits. A
+    // gated design's steady-state window sees settled SL levels, so the cost
+    // of toggling a line is the RZ-equivalent line energy.
     let e_sl_per_definite_bit = if sl_gated {
         estimate_line_energy(card, geometry, row.design().area_f2())
     } else {
-        let out0 = row.search(&stored, timing)?;
-        out0.energy_sl / width as f64
+        energy_sl_match / width as f64
     };
 
     // Per-stage calibration (trivial single entry for flat designs).
