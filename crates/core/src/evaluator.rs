@@ -1,6 +1,6 @@
 //! The [`Evaluator`]: shared configuration + calibration cache.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use ftcam_array::CalibrationCache;
 use ftcam_cells::{CellDesign, CellError, DesignKind, Geometry, RowTestbench, SearchTiming};
@@ -175,9 +175,12 @@ impl Evaluator {
 }
 
 /// One worker per available core, falling back to 1 when the parallelism
-/// query fails (e.g. restricted sandboxes).
+/// query fails (e.g. restricted sandboxes). The query reads cgroup and
+/// sysfs files, so it runs once per process.
 fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 #[cfg(test)]
@@ -208,6 +211,20 @@ mod tests {
         assert_eq!(eval.executor().threads(), 3);
         assert_eq!(Evaluator::quick().with_threads(0).threads(), 1);
         assert!(Evaluator::quick().threads() >= 1);
+    }
+
+    #[test]
+    fn explicit_thread_count_wins_over_the_default() {
+        let parallelism =
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        assert_eq!(Evaluator::quick().threads(), parallelism);
+        assert_eq!(Evaluator::standard().threads(), parallelism);
+        let explicit = parallelism + 5;
+        assert_eq!(
+            Evaluator::standard().with_threads(explicit).threads(),
+            explicit
+        );
+        assert_eq!(Evaluator::standard().with_threads(1).threads(), 1);
     }
 
     #[test]
