@@ -27,7 +27,7 @@
 //! still count toward area and device inventory.
 
 use ftcam_circuit::waveform::Waveform;
-use ftcam_circuit::Circuit;
+use ftcam_circuit::{Circuit, Name};
 use ftcam_devices::{Mosfet, TechCard};
 use ftcam_workloads::Ternary;
 
@@ -86,16 +86,16 @@ impl CellDesign for Cmos16T {
         site: &CellSite,
     ) -> CellHandle {
         let i = site.index;
-        let d = ckt.node(&format!("d{i}"));
-        let db = ckt.node(&format!("db{i}"));
+        let d = ckt.add_node(Name::indexed("d", i));
+        let db = ckt.add_node(Name::indexed("db", i));
         let pin_d = ckt
-            .pin(d, format!("D{i}"), Waveform::dc(0.0))
+            .pin(d, Name::indexed("D", i), Waveform::dc(0.0))
             .expect("fresh SRAM node");
         let pin_db = ckt
-            .pin(db, format!("DB{i}"), Waveform::dc(0.0))
+            .pin(db, Name::indexed("DB", i), Waveform::dc(0.0))
             .expect("fresh SRAM node");
-        let mid1 = ckt.fresh_node(&format!("c16.mid1.{i}"));
-        let mid2 = ckt.fresh_node(&format!("c16.mid2.{i}"));
+        let mid1 = ckt.fresh_node(Name::indexed("c16.mid1.", i));
+        let mid2 = ckt.fresh_node(Name::indexed("c16.mid2.", i));
         // Compare-stack devices are upsized: two series transistors at a
         // 0.8 V supply have little overdrive (the top device source-follows
         // to ~V_DD/2), so real 16T layouts use ~2-3x-width pulldowns —
@@ -103,19 +103,19 @@ impl CellDesign for Cmos16T {
         // energy cost.
         let n = card.nmos.scaled(2.5);
         ckt.add_labeled(
-            format!("c16.m1.{i}"),
+            Name::indexed("c16.m1.", i),
             Mosfet::new(n.clone(), site.ml, db, mid1),
         );
         ckt.add_labeled(
-            format!("c16.m2.{i}"),
+            Name::indexed("c16.m2.", i),
             Mosfet::new(n.clone(), mid1, site.sl, site.source_rail),
         );
         ckt.add_labeled(
-            format!("c16.m3.{i}"),
+            Name::indexed("c16.m3.", i),
             Mosfet::new(n.clone(), site.ml, d, mid2),
         );
         ckt.add_labeled(
-            format!("c16.m4.{i}"),
+            Name::indexed("c16.m4.", i),
             Mosfet::new(n, mid2, site.slb, site.source_rail),
         );
         CellHandle {

@@ -79,7 +79,7 @@ impl CellDesign for EaLowSwing {
         _geometry: &Geometry,
         site: &CellSite,
     ) -> CellHandle {
-        let (fe1, fe2) = FeFet2T::build_pair(ckt, card, site, "eals");
+        let (fe1, fe2) = FeFet2T::build_pair(ckt, card, site, ["eals.fe1.", "eals.fe2."]);
         CellHandle {
             devices: vec![fe1, fe2],
             pins: Vec::new(),
@@ -148,7 +148,7 @@ impl CellDesign for EaSlGated {
         _geometry: &Geometry,
         site: &CellSite,
     ) -> CellHandle {
-        let (fe1, fe2) = FeFet2T::build_pair(ckt, card, site, "easlg");
+        let (fe1, fe2) = FeFet2T::build_pair(ckt, card, site, ["easlg.fe1.", "easlg.fe2."]);
         CellHandle {
             devices: vec![fe1, fe2],
             pins: Vec::new(),
@@ -224,7 +224,7 @@ impl CellDesign for EaMlSegmented {
         _geometry: &Geometry,
         site: &CellSite,
     ) -> CellHandle {
-        let (fe1, fe2) = FeFet2T::build_pair(ckt, card, site, "eamls");
+        let (fe1, fe2) = FeFet2T::build_pair(ckt, card, site, ["eamls.fe1.", "eamls.fe2."]);
         CellHandle {
             devices: vec![fe1, fe2],
             pins: Vec::new(),
@@ -299,7 +299,7 @@ impl CellDesign for EaFull {
         _geometry: &Geometry,
         site: &CellSite,
     ) -> CellHandle {
-        let (fe1, fe2) = FeFet2T::build_pair(ckt, card, site, "eafull");
+        let (fe1, fe2) = FeFet2T::build_pair(ckt, card, site, ["eafull.fe1.", "eafull.fe2."]);
         CellHandle {
             devices: vec![fe1, fe2],
             pins: Vec::new(),

@@ -15,7 +15,7 @@
 //! because read voltages sit far below the switching threshold (see
 //! `ftcam-devices::ferro`).
 
-use ftcam_circuit::{Circuit, DeviceId};
+use ftcam_circuit::{Circuit, DeviceId, Name};
 use ftcam_devices::{FeFet, TechCard};
 use ftcam_workloads::Ternary;
 
@@ -44,20 +44,22 @@ impl FeFet2T {
         }
     }
 
-    /// Shared cell builder reused by the energy-aware variants.
+    /// Shared cell builder reused by the energy-aware variants: the two
+    /// FeFETs are labelled `{labels[0]}{i}` and `{labels[1]}{i}` at site
+    /// `i`.
     pub(crate) fn build_pair(
         ckt: &mut Circuit,
         card: &TechCard,
         site: &CellSite,
-        tag: &str,
+        labels: [&'static str; 2],
     ) -> (DeviceId, DeviceId) {
         let i = site.index;
         let fe1 = ckt.add_labeled(
-            format!("{tag}.fe1.{i}"),
+            Name::indexed(labels[0], i),
             FeFet::new(card.fefet.clone(), site.ml, site.sl, site.source_rail),
         );
         let fe2 = ckt.add_labeled(
-            format!("{tag}.fe2.{i}"),
+            Name::indexed(labels[1], i),
             FeFet::new(card.fefet.clone(), site.ml, site.slb, site.source_rail),
         );
         (fe1, fe2)
@@ -102,7 +104,7 @@ impl CellDesign for FeFet2T {
         _geometry: &Geometry,
         site: &CellSite,
     ) -> CellHandle {
-        let (fe1, fe2) = Self::build_pair(ckt, card, site, "f2t");
+        let (fe1, fe2) = Self::build_pair(ckt, card, site, ["f2t.fe1.", "f2t.fe2."]);
         CellHandle {
             devices: vec![fe1, fe2],
             pins: Vec::new(),

@@ -17,7 +17,7 @@
 //! an LRS within ~0.2 ns while a matching row sags through its HRS paths
 //! three orders of magnitude more slowly.
 
-use ftcam_circuit::Circuit;
+use ftcam_circuit::{Circuit, Name};
 use ftcam_devices::{Mosfet, Reram, ReramState, TechCard};
 use ftcam_workloads::Ternary;
 
@@ -76,15 +76,15 @@ impl CellDesign for Rram2T2R {
         site: &CellSite,
     ) -> CellHandle {
         let i = site.index;
-        let mid1 = ckt.fresh_node(&format!("r2.mid1.{i}"));
-        let mid2 = ckt.fresh_node(&format!("r2.mid2.{i}"));
+        let mid1 = ckt.fresh_node(Name::indexed("r2.mid1.", i));
+        let mid2 = ckt.fresh_node(Name::indexed("r2.mid2.", i));
         let n = card.nmos.clone();
         ckt.add_labeled(
-            format!("r2.t1.{i}"),
+            Name::indexed("r2.t1.", i),
             Mosfet::new(n.clone(), site.ml, site.sl, mid1),
         );
         let r1 = ckt.add_labeled(
-            format!("r2.r1.{i}"),
+            Name::indexed("r2.r1.", i),
             Reram::new(
                 card.reram.clone(),
                 mid1,
@@ -93,11 +93,11 @@ impl CellDesign for Rram2T2R {
             ),
         );
         ckt.add_labeled(
-            format!("r2.t2.{i}"),
+            Name::indexed("r2.t2.", i),
             Mosfet::new(n, site.ml, site.slb, mid2),
         );
         let r2 = ckt.add_labeled(
-            format!("r2.r2.{i}"),
+            Name::indexed("r2.r2.", i),
             Reram::new(
                 card.reram.clone(),
                 mid2,

@@ -1,10 +1,11 @@
 //! DC operating-point analysis.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::analysis::newton::{self, NewtonSettings, NewtonWorkspace};
 use crate::circuit::Circuit;
 use crate::error::CircuitError;
+use crate::name::Names;
 use crate::node::NodeId;
 use crate::probe::{self, RecoveryStats};
 use crate::stamp::{CommitCtx, IntegrationMethod, VarMap};
@@ -13,10 +14,10 @@ use crate::stamp::{CommitCtx, IntegrationMethod, VarMap};
 #[derive(Debug, Clone)]
 pub struct DcResult {
     voltages: Vec<f64>,
-    names: HashMap<String, usize>,
+    /// The circuit's node and pin names, shared for the lookups by name.
+    names: Arc<Names>,
     /// Current delivered by each pinned source (amps).
     pin_currents: Vec<f64>,
-    pin_labels: Vec<String>,
     iterations: usize,
 }
 
@@ -28,8 +29,10 @@ impl DcResult {
     /// Returns [`CircuitError::UnknownNodeName`] for unknown names.
     pub fn voltage(&self, node: &str) -> Result<f64, CircuitError> {
         self.names
-            .get(node)
-            .map(|&i| self.voltages[i])
+            .nodes
+            .iter()
+            .rposition(|n| *n == *node)
+            .map(|i| self.voltages[i])
             .ok_or_else(|| CircuitError::UnknownNodeName(node.to_string()))
     }
 
@@ -39,9 +42,10 @@ impl DcResult {
     ///
     /// Returns [`CircuitError::UnknownTrace`] for unknown labels.
     pub fn pin_current(&self, label: &str) -> Result<f64, CircuitError> {
-        self.pin_labels
+        self.names
+            .pins
             .iter()
-            .position(|l| l == label)
+            .position(|l| *l == *label)
             .map(|i| self.pin_currents[i])
             .ok_or_else(|| CircuitError::UnknownTrace(label.to_string()))
     }
@@ -200,10 +204,6 @@ fn package(circuit: &Circuit, vars: &VarMap, x: &[f64], iterations: usize) -> Dc
     let voltages: Vec<f64> = (0..circuit.node_count())
         .map(|i| ctx.v(NodeId(i as u32)))
         .collect();
-    let names = circuit
-        .nodes()
-        .map(|(id, name)| (name.to_string(), id.index()))
-        .collect();
 
     let mut current_out = vec![0.0; circuit.node_count()];
     newton::measure_currents(
@@ -222,13 +222,11 @@ fn package(circuit: &Circuit, vars: &VarMap, x: &[f64], iterations: usize) -> Dc
         .iter()
         .map(|p| current_out[p.node.index()])
         .collect();
-    let pin_labels = circuit.pins.iter().map(|p| p.label.clone()).collect();
 
     DcResult {
         voltages,
-        names,
+        names: Arc::clone(circuit.names()),
         pin_currents,
-        pin_labels,
         iterations,
     }
 }

@@ -780,14 +780,14 @@ pub(crate) fn measure_currents(
         let every: Vec<usize> = (0..circuit.devices.len()).collect();
         let mut full = vec![0.0; current_out.len()];
         pass(&every, &mut full);
-        for pin in &circuit.pins {
+        for (pin, label) in circuit.pins.iter().zip(&circuit.names().pins) {
             let node = pin.node.index();
             assert_eq!(
                 current_out[node].to_bits(),
                 full[node].to_bits(),
                 "pin {} at t = {time}: the measured devices miss a current \
                  (a `Device::terminals` list omits a node)",
-                pin.label
+                label
             );
         }
     }

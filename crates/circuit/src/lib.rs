@@ -72,6 +72,7 @@ mod error;
 #[cfg(feature = "fault-injection")]
 pub mod fault;
 pub mod linalg;
+mod name;
 mod node;
 mod probe;
 mod spice;
@@ -82,6 +83,7 @@ pub use analysis::{HotPath, NewtonSettings, StepControl};
 pub use circuit::{Circuit, PinId};
 pub use device::{Device, DeviceId, StampClass};
 pub use error::CircuitError;
+pub use name::Name;
 pub use node::NodeId;
 pub use probe::{
     global_recovery_stats, global_solver_stats, global_step_stats, Edge, RecoveryStats, SolverPerf,

@@ -1,10 +1,11 @@
 //! Transient results: traces, measurements, step statistics and energy
 //! reports.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
-use crate::circuit::Circuit;
+use crate::circuit::{Circuit, PinId};
 use crate::error::CircuitError;
+use crate::name::{Name, Names};
 use crate::node::NodeId;
 use crate::stamp::CommitCtx;
 
@@ -281,13 +282,13 @@ pub enum Edge {
 pub struct Trace<'a> {
     times: &'a [f64],
     values: &'a [f64],
-    name: &'a str,
+    name: &'a Name,
 }
 
 impl<'a> Trace<'a> {
-    /// Signal name.
-    pub fn name(&self) -> &str {
-        self.name
+    /// Signal name, rendered.
+    pub fn name(&self) -> String {
+        self.name.to_string()
     }
 
     /// Sample instants (seconds).
@@ -421,14 +422,22 @@ impl<'a> Trace<'a> {
 }
 
 /// Result of a transient run: recorded traces plus energy accounting.
+///
+/// Recorded nodes and pins are read by id with
+/// [`TransientResult::node_trace`] and [`TransientResult::pin_energy_in`],
+/// which render and hash nothing; the row and array testbenches read them
+/// so. The label-based reads ([`TransientResult::trace`],
+/// [`TransientResult::supply_energy`],
+/// [`TransientResult::supply_energy_in`]) serve hand-written netlists and
+/// tests: they compare the rendered names of the circuit, which the result
+/// shares rather than copies, one by one. [`TransientResult::pin_labels`]
+/// and [`Trace::name`] render names.
 #[derive(Debug, Clone)]
 pub struct TransientResult {
     times: Vec<f64>,
     node_ids: Vec<NodeId>,
-    node_name_index: HashMap<String, usize>,
     voltages: Vec<Vec<f64>>,
-    pin_labels: Vec<String>,
-    pin_label_index: HashMap<String, usize>,
+    names: Arc<Names>,
     /// Cumulative energy delivered by each pin, one sample per instant;
     /// the last sample is the run total.
     pin_energy_traces: Vec<Vec<f64>>,
@@ -442,31 +451,12 @@ impl TransientResult {
     /// An empty result recording the voltages of `recorded` and the
     /// cumulative energy of every pinned source of `circuit`.
     pub(crate) fn new(circuit: &Circuit, recorded: &[NodeId]) -> Self {
-        let node_name_index = recorded
-            .iter()
-            .enumerate()
-            .map(|(k, &id)| (circuit.node_name(id).to_string(), k))
-            .collect();
-        let pin_labels: Vec<String> = (0..circuit.pin_count())
-            .map(|p| {
-                circuit
-                    .pin_label(crate::circuit::PinId(p as u32))
-                    .to_string()
-            })
-            .collect();
-        let pin_label_index = pin_labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (l.clone(), i))
-            .collect();
         Self {
             times: Vec::new(),
             node_ids: recorded.to_vec(),
-            node_name_index,
             voltages: vec![Vec::new(); recorded.len()],
-            pin_label_index,
-            pin_energy_traces: vec![Vec::new(); pin_labels.len()],
-            pin_labels,
+            names: Arc::clone(circuit.names()),
+            pin_energy_traces: vec![Vec::new(); circuit.pin_count()],
             max_kcl_residual: 0.0,
             stats: StepStats::default(),
             recovery: RecoveryStats::default(),
@@ -516,21 +506,43 @@ impl TransientResult {
         self.max_kcl_residual
     }
 
+    /// The trace of the `k`-th recorded node.
+    fn recorded(&self, k: usize) -> Trace<'_> {
+        Trace {
+            times: &self.times,
+            values: &self.voltages[k],
+            name: &self.names.nodes[self.node_ids[k].index()],
+        }
+    }
+
+    /// Voltage trace of a recorded node.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CircuitError::UnknownTrace`] if the node was not recorded.
+    pub fn node_trace(&self, node: NodeId) -> Result<Trace<'_>, CircuitError> {
+        match self.node_ids.iter().position(|&id| id == node) {
+            Some(k) => Ok(self.recorded(k)),
+            None => Err(CircuitError::UnknownTrace(
+                self.names
+                    .nodes
+                    .get(node.index())
+                    .map_or_else(|| node.to_string(), Name::to_string),
+            )),
+        }
+    }
+
     /// Voltage trace of a recorded node, by name.
     ///
     /// # Errors
     ///
     /// Returns [`CircuitError::UnknownTrace`] if the node was not recorded.
     pub fn trace(&self, node: &str) -> Result<Trace<'_>, CircuitError> {
-        let (name, &k) = self
-            .node_name_index
-            .get_key_value(node)
-            .ok_or_else(|| CircuitError::UnknownTrace(node.to_string()))?;
-        Ok(Trace {
-            times: &self.times,
-            values: &self.voltages[k],
-            name,
-        })
+        self.node_ids
+            .iter()
+            .rposition(|id| self.names.nodes[id.index()] == *node)
+            .map(|k| self.recorded(k))
+            .ok_or_else(|| CircuitError::UnknownTrace(node.to_string()))
     }
 
     /// Energy delivered by pin `p` over the whole run: the last sample of
@@ -540,10 +552,26 @@ impl TransientResult {
     }
 
     fn pin_index(&self, label: &str) -> Result<usize, CircuitError> {
-        self.pin_label_index
-            .get(label)
-            .copied()
+        self.names
+            .pins
+            .iter()
+            .rposition(|l| *l == *label)
             .ok_or_else(|| CircuitError::UnknownTrace(label.to_string()))
+    }
+
+    /// Energy delivered by a pinned source within `[t0, t1]` (joules).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pin` does not belong to the circuit that ran.
+    pub fn pin_energy_in(&self, pin: PinId, t0: f64, t1: f64) -> f64 {
+        let p = pin.index();
+        let trace = Trace {
+            times: &self.times,
+            values: &self.pin_energy_traces[p],
+            name: &self.names.pins[p],
+        };
+        trace.value_at(t1) - trace.value_at(t0)
     }
 
     /// Total energy delivered by a pinned source over the run (joules).
@@ -562,30 +590,26 @@ impl TransientResult {
     /// Returns [`CircuitError::UnknownTrace`] for unknown pin labels.
     pub fn supply_energy_in(&self, label: &str, t0: f64, t1: f64) -> Result<f64, CircuitError> {
         let p = self.pin_index(label)?;
-        let trace = Trace {
-            times: &self.times,
-            values: &self.pin_energy_traces[p],
-            name: &self.pin_labels[p],
-        };
-        Ok(trace.value_at(t1) - trace.value_at(t0))
+        Ok(self.pin_energy_in(PinId(p as u32), t0, t1))
     }
 
     /// Sum of the energies delivered by all pinned sources (joules).
     pub fn total_supply_energy(&self) -> f64 {
-        (0..self.pin_labels.len()).map(|p| self.pin_total(p)).sum()
+        (0..self.pin_energy_traces.len())
+            .map(|p| self.pin_total(p))
+            .sum()
     }
 
     /// Sum over all pins of the energy delivered within `[t0, t1]`.
     pub fn total_supply_energy_in(&self, t0: f64, t1: f64) -> f64 {
-        self.pin_labels
-            .iter()
-            .map(|l| self.supply_energy_in(l, t0, t1).expect("label from self"))
+        (0..self.pin_energy_traces.len())
+            .map(|p| self.pin_energy_in(PinId(p as u32), t0, t1))
             .sum()
     }
 
-    /// Labels of all pinned sources.
-    pub fn pin_labels(&self) -> &[String] {
-        &self.pin_labels
+    /// Labels of all pinned sources, rendered, in pin order.
+    pub fn pin_labels(&self) -> Vec<String> {
+        self.names.pins.iter().map(Name::to_string).collect()
     }
 }
 
@@ -593,11 +617,13 @@ impl TransientResult {
 mod tests {
     use super::*;
 
+    static T: Name = Name::new("t");
+
     fn trace<'a>(times: &'a [f64], values: &'a [f64]) -> Trace<'a> {
         Trace {
             times,
             values,
-            name: "t",
+            name: &T,
         }
     }
 

@@ -40,20 +40,20 @@ pub fn export_spice(circuit: &Circuit, title: &str) -> String {
         if node.is_ground() {
             "0".to_string()
         } else {
-            sanitize(circuit.node_name(node))
+            sanitize(&circuit.node_name(node))
         }
     };
     let mut out = format!("* {title}\n* exported by ftcam-circuit\n");
     for p in 0..circuit.pin_count() {
         let pin = crate::circuit::PinId(p as u32);
         let node = circuit.pin_node(pin);
-        let label = sanitize(circuit.pin_label(pin));
+        let label = sanitize(&circuit.pin_label(pin));
         let wave = spice_waveform(&circuit.pins[p].wave);
         out.push_str(&format!("Vpin_{label} {} 0 {wave}\n", names(node)));
     }
     for d in 0..circuit.device_count() {
         let id = crate::device::DeviceId(d as u32);
-        let label = sanitize(circuit.device_label(id));
+        let label = sanitize(&circuit.device_label(id));
         match circuit.devices[d].spice_lines(&names, &label) {
             Some(mut lines) => {
                 let m = circuit.device_mult[d];

@@ -85,8 +85,12 @@ fn build(
         }
         let (v0, v1) = (rng.gen_range(0.1..1.0), rng.gen_range(0.1..1.0));
         let label = format!("P{k}");
-        ckt.pin(node, &label, Waveform::pwl(vec![(0.0, v0), (T_STOP, v1)]))
-            .expect("fresh node");
+        ckt.pin(
+            node,
+            label.clone(),
+            Waveform::pwl(vec![(0.0, v0), (T_STOP, v1)]),
+        )
+        .expect("fresh node");
         pins.push((label, listed.contains(&node)));
     }
     (ckt, pins)
